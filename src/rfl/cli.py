@@ -19,7 +19,13 @@ from .flow import k_factor_exists
 from .graphs import ExtremalParams, GraphError, GraphFamily, build_extremal, build_join
 from .harness import CAMPAIGNS, ExperimentConfig, run_campaign
 from .shifting import shift_family
-from .spectral import join_margin, quotient_spectral_radius, spectral_radius
+from .spectral import (
+    ConvergenceError,
+    InconsistencyError,
+    join_margin,
+    quotient_spectral_radius,
+    spectral_radius,
+)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -27,7 +33,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (GraphError, OSError) as exc:
+    except (GraphError, OSError, ConvergenceError, InconsistencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -283,8 +283,9 @@ def audit_shifted_family(
     - every anti-diagonal schedule edge other than the two corner edges is
       present.
 
-    Members within 1e-9 of the threshold count as meeting it (the power
-    iteration's Rayleigh value never overshoots the true radius).
+    Members within 1e-9 of the threshold count as meeting it: the reported
+    radius is the lower end of a certified bracket and never overshoots the
+    true radius, so a member exactly at the threshold may read just below.
     """
     n, k = family.n, family.k
     corner = {(k, 2 * n), (n, n + k)}

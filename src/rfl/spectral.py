@@ -1,10 +1,13 @@
 """Spectral radius computation and the quotient-matrix closed forms.
 
-Power iteration runs on A + I rather than A: bipartite spectra are symmetric
-about 0, so plain iteration oscillates between the +rho and -rho eigenvectors;
-the unit offset keeps the matrix nonnegative and isolates rho + 1.  Join-type
-and extremal graphs additionally admit a 4x4 equitable quotient matrix whose
-characteristic polynomial is biquadratic, giving an exact closed form.
+Power iteration runs on the n x n Gram matrix B^T B of the biadjacency
+matrix B rather than on the 2n x 2n adjacency matrix: bipartite spectra are
+symmetric about 0, and rho(G)^2 = rho(B^T B), whose blocks (one per
+connected component) are primitive.  Each block stops on a certified
+bracket, the Rayleigh quotient below and the Collatz-Wielandt bound above.
+Join-type and extremal graphs additionally admit a 4x4 equitable quotient
+matrix whose characteristic polynomial is biquadratic, giving an exact
+closed form.
 """
 
 from __future__ import annotations
@@ -15,7 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import BipartiteGraph, ExtremalParams, GraphError, build_extremal, build_join
+from .graphs import (
+    BipartiteGraph,
+    ExtremalParams,
+    GraphError,
+    _bits,
+    build_extremal,
+    build_join,
+)
 
 DEFAULT_TOL = 1e-10
 MAX_ITERATIONS = 100_000
@@ -25,7 +35,12 @@ METHOD_AGREEMENT_TOL = 1e-7
 def default_tolerance() -> float:
     """Configured tolerance; the RFL_DEFAULT_TOL env var overrides."""
     raw = os.environ.get("RFL_DEFAULT_TOL")
-    return float(raw) if raw else DEFAULT_TOL
+    if not raw:
+        return DEFAULT_TOL
+    try:
+        return float(raw)
+    except ValueError:
+        raise GraphError(f"RFL_DEFAULT_TOL must be a number, got {raw!r}") from None
 
 
 class ConvergenceError(RuntimeError):
@@ -44,54 +59,100 @@ class SpectralReport:
     residual: float
 
 
-def adjacency_matrix(g: BipartiteGraph) -> np.ndarray:
-    n = g.n
-    a = np.zeros((2 * n, 2 * n))
-    for x, y in g.edges():
-        a[x - 1, y - 1] = 1.0
-        a[y - 1, x - 1] = 1.0
-    return a
-
-
 def spectral_radius(
     g: BipartiteGraph, tol: float | None = None, max_iterations: int = MAX_ITERATIONS
 ) -> SpectralReport:
-    """Power iteration on A + I with the all-ones start vector.
+    """Spectral radius from power iteration on the Gram matrix M = B^T B.
 
-    Converges when successive Rayleigh quotients differ by less than tol;
-    reports rho(A) = rho(A + I) - 1.  Works unchanged on disconnected graphs
-    (the offset matrix is nonnegative, so the dominant eigenvalue is
-    1 + the maximum component radius).
+    B is the n x n biadjacency matrix (rows X, columns Y), so rho(G)^2 =
+    rho(M).  M splits into one block per connected component of the
+    non-isolated Y-vertices; each block is nonnegative with a positive
+    diagonal, hence primitive, and is iterated from the all-ones vector.
+    For a positive iterate v the Rayleigh quotient v.Mv / v.v is a lower
+    bound on the block's radius (M is symmetric) and max_i (Mv)_i / v_i an
+    upper bound (Collatz-Wielandt); a block stops once the square roots of
+    the two differ by less than tol.  A block of one Y-vertex is a star and
+    has rho = sqrt(M_jj).
+
+    Reports value = the certified lower end (it never overshoots rho),
+    residual = the certified bracket width in rho units, and iterations =
+    the matrix-vector products over all blocks.  Raises ConvergenceError
+    once max_iterations products have not closed every bracket.
     """
     if tol is None:
         tol = default_tolerance()
-    if tol <= 0:
+    if not tol > 0:
         raise GraphError(f"tolerance must be positive, got {tol}")
-    a = adjacency_matrix(g)
-    np.fill_diagonal(a, 1.0)
-    v = np.ones(2 * g.n)
-    v /= np.linalg.norm(v)
-    rayleigh = 1.0
-    for iteration in range(1, max_iterations + 1):
-        w = a @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            raise ConvergenceError("matrix annihilated the iterate")
-        v = w / norm
-        new_rayleigh = float(v @ (a @ v))
-        residual = abs(new_rayleigh - rayleigh)
-        rayleigh = new_rayleigh
-        if residual < tol:
-            return SpectralReport(
-                value=max(rayleigh - 1.0, 0.0),
-                method="power-iteration",
-                iterations=iteration,
-                residual=residual,
+    n = g.n
+    blocks = _y_components(g.x_rows)
+    # order Y by block, so that each block of M is a contiguous diagonal slice
+    order = [j for block in blocks for j in _bits(block)]
+    b = _unpack(g.x_rows, n)[:, order].astype(np.float64)
+    m = b.T @ b
+    lo = hi = 0.0
+    iterations = 0
+    start = 0
+    for block in blocks:
+        size = block.bit_count()
+        mc = m[start : start + size, start : start + size]
+        start += size
+        if size == 1:  # one Y-vertex: a star, rho^2 = its degree
+            lo, hi = max(lo, mc[0, 0]), max(hi, mc[0, 0])
+            continue
+        v = np.ones(size)
+        gap = math.inf
+        for _ in range(max_iterations - iterations):
+            iterations += 1
+            w = mc @ v
+            c_lo = (v @ w) / (v @ v)
+            # builtin max over a list: on the few-vertex blocks of typical
+            # calls a numpy reduction costs more than the product itself
+            c_hi = max((w / v).tolist())
+            gap = math.sqrt(c_hi) - math.sqrt(c_lo)
+            if gap < tol:
+                break
+            v = w / c_hi
+        else:
+            raise ConvergenceError(
+                f"no convergence to tol={tol} within {max_iterations} iterations "
+                f"(last bracket width {gap:.3e})"
             )
-    raise ConvergenceError(
-        f"no convergence to tol={tol} within {max_iterations} iterations "
-        f"(last Rayleigh step {abs(residual):.3e})"
+        lo, hi = max(lo, c_lo), max(hi, c_hi)
+    return SpectralReport(
+        value=math.sqrt(lo),
+        method="power-iteration",
+        iterations=iterations,
+        residual=max(math.sqrt(hi) - math.sqrt(lo), 0.0),
     )
+
+
+def _unpack(masks, n: int) -> np.ndarray:
+    """0/1 matrix with one row per bitset: entry (r, j) is bit j of masks[r]."""
+    width = (n + 7) // 8
+    packed = np.frombuffer(b"".join(mask.to_bytes(width, "little") for mask in masks), np.uint8)
+    return np.unpackbits(packed.reshape(-1, width), axis=1, count=n, bitorder="little")
+
+
+def _y_components(x_rows: tuple[int, ...]) -> list[int]:
+    """Connected components of the non-isolated Y-vertices, as bitsets.
+
+    Each X-row's neighborhood lies inside one component; merging every
+    component a row meets, row by row, leaves exactly the components.
+    """
+    blocks: list[int] = []
+    for row in x_rows:
+        if not row:
+            continue
+        merged = row
+        rest = []
+        for block in blocks:
+            if block & row:
+                merged |= block
+            else:
+                rest.append(block)
+        rest.append(merged)
+        blocks = rest
+    return blocks
 
 
 @dataclass(frozen=True)

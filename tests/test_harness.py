@@ -268,3 +268,34 @@ class TestCLI:
         assert default_tolerance() == 1e-6
         monkeypatch.delenv("RFL_DEFAULT_TOL")
         assert default_tolerance() == 1e-10
+
+    def test_malformed_default_tol_exits_2(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "b.txt"
+        assert self.run("build-extremal", "--n", "6", "--k", "2", "--out", str(path)) == 0
+        monkeypatch.setenv("RFL_DEFAULT_TOL", "abc")
+        assert self.run("rho", "--in", str(path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "RFL_DEFAULT_TOL" in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "command, name, error",
+        [
+            (("rho", "--in", "{path}"), "spectral_radius", "ConvergenceError"),
+            (("verify-lemma33", "--kmax", "2", "--nmax", "5"), "join_margin", "InconsistencyError"),
+        ],
+    )
+    def test_library_runtime_errors_exit_2(self, tmp_path, monkeypatch, capsys, command, name, error):
+        import rfl.cli
+        import rfl.spectral
+
+        path = tmp_path / "b.txt"
+        assert self.run("build-extremal", "--n", "6", "--k", "2", "--out", str(path)) == 0
+        exc = getattr(rfl.spectral, error)
+
+        def fail(*args, **kwargs):
+            raise exc("the computation gave up")
+
+        monkeypatch.setattr(rfl.cli, name, fail)
+        assert self.run(*(arg.format(path=path) for arg in command)) == 2
+        assert capsys.readouterr().err == "error: the computation gave up\n"

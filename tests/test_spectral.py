@@ -13,7 +13,6 @@ from rfl.graphs import (
 )
 from rfl.spectral import (
     ConvergenceError,
-    adjacency_matrix,
     extremal_charpoly,
     extremal_spectral_radius,
     join_charpoly,
@@ -31,7 +30,11 @@ RHO_JOIN_4_2_3 = 3.23606797749979
 
 
 def dense_rho(g: BipartiteGraph) -> float:
-    return float(np.linalg.eigvalsh(adjacency_matrix(g))[-1])
+    """Largest eigenvalue of the full 2n x 2n adjacency matrix, by eigvalsh."""
+    a = np.zeros((2 * g.n, 2 * g.n))
+    for x, y in g.edges():
+        a[x - 1, y - 1] = a[y - 1, x - 1] = 1.0
+    return float(np.linalg.eigvalsh(a)[-1])
 
 
 class TestPowerIteration:
@@ -74,6 +77,49 @@ class TestPowerIteration:
         # K_{2,2} on {1,2}x{5,6} plus a single far edge (4,8)
         g = BipartiteGraph.from_edges(4, [(1, 5), (1, 6), (2, 5), (2, 6), (4, 8)])
         assert spectral_radius(g).value == pytest.approx(2.0, abs=1e-8)
+
+    def test_bracket_contains_dense_radius(self, rng):
+        # value <= rho <= value + residual, up to eigvalsh's own rounding
+        # (backward stable: a few multiples of n * eps * rho)
+        graphs = [build_extremal(160, 2)]
+        for _ in range(120):
+            n = int(rng.integers(1, 10))
+            g = random_graph(rng, n, float(rng.random()) ** 2)  # sparse: often disconnected
+            graphs.append(g)
+            isolated = int(rng.integers(1, n + 1))
+            graphs.append(BipartiteGraph(n, tuple(r & ~(1 << (isolated - 1)) for r in g.x_rows)))
+        for g in graphs:
+            report = spectral_radius(g)
+            rho = dense_rho(g)
+            slack = 2 * g.n * np.finfo(float).eps * max(rho, 1.0)
+            assert report.residual < 1e-10
+            assert report.value <= rho + slack
+            assert rho <= report.value + report.residual + slack
+
+    def test_slow_top_component_beside_small_one(self):
+        # a path on 40 vertices (rho = 2 cos(pi/41)) beside a path on 4
+        # vertices (rho = golden ratio): the path's bracket needs many products
+        m = 20
+        n = m + 2
+        path = [(i, n + i) for i in range(1, m + 1)] + [(i + 1, n + i) for i in range(1, m)]
+        small = [(m + 1, n + m + 1), (m + 2, n + m + 1), (m + 2, n + m + 2)]
+        g = BipartiteGraph.from_edges(n, path + small)
+        assert not g.is_connected()
+        report = spectral_radius(g)
+        rho = 2 * math.cos(math.pi / (2 * m + 1))
+        assert report.iterations > 50
+        assert report.residual < 1e-10
+        assert rho - 1e-12 <= report.value <= rho + 1e-12
+        assert report.value == pytest.approx(dense_rho(g), abs=1e-10)
+
+    def test_part_swap_keeps_radius(self, rng):
+        # M = B^T B is one-sided; the transposed graph iterates on B B^T
+        for _ in range(60):
+            n = int(rng.integers(1, 10))
+            g = random_graph(rng, n, float(rng.random()))
+            assert spectral_radius(g).value == pytest.approx(
+                spectral_radius(g.transposed()).value, abs=1e-10
+            )
 
     def test_iteration_cap_raises(self):
         g = build_extremal(6, 2)
