@@ -1,18 +1,24 @@
 """Rainbow k-factor search, classical factor existence, and proof-object
 matchings.
 
-The exact searches are plain backtracking over family indices in order, with
-edges tried lexicographically and a flow-based completion-feasibility prune
-every few levels.  Absence is only ever reported when the tree has been
-exhausted; running out of node budget is a distinct third status.
+The exact searches treat members with equal edge sets as one class, so they
+never re-explore the permutations of identical members, and they branch on
+the most constrained item (an open vertex or a class with one member left),
+as in exact-cover search.  Free edges are per-vertex bitmasks counted with
+``int.bit_count``; a flow check on the members' union prunes at the root.
+Absence is only ever reported when the tree has been exhausted; running out
+of node budget is a distinct third status.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import combinations
+from operator import or_
 
-from .flow import degree_constrained_subgraph, k_factor_exists
-from .graphs import BipartiteGraph, Edge, GraphError, GraphFamily
+from .flow import k_factor_exists
+from .graphs import BipartiteGraph, Edge, GraphError, GraphFamily, _bits
 from .shifting import is_bi_shifted
 from .spectral import spectral_radius
 
@@ -39,7 +45,6 @@ ABSENT = "absent"
 BUDGET_EXHAUSTED = "budget-exhausted"
 
 DEFAULT_BUDGET = 10_000_000
-DEFAULT_PRUNE_INTERVAL = 4
 
 
 @dataclass(frozen=True)
@@ -113,26 +118,27 @@ class _Budget(Exception):
     pass
 
 
-def rainbow_k_factor_search(
-    family: GraphFamily,
-    budget: int = DEFAULT_BUDGET,
-    prune_interval: int = DEFAULT_PRUNE_INTERVAL,
-) -> SearchResult:
-    """Exact backtracking for a rainbow k-factor of the family.
+def rainbow_k_factor_search(family: GraphFamily, budget: int = DEFAULT_BUDGET) -> SearchResult:
+    """Exact search for a rainbow k-factor of the family.
 
-    Indices are assigned in family order; at each index the member's edges
-    are tried lexicographically, skipping used edges and saturated endpoints.
-    Every prune_interval levels a flow check asks whether the remaining
-    degree deficit can be met from the unused edges of the remaining members
-    (rainbowness relaxed); failure is a sound cutoff.
+    Members with equal edge sets form one class; the search decides how many
+    edges each class supplies where, and hands out member indices only once a
+    factor is found.  One node is one call of the recursive step.  At every
+    node the step returns at once if an open vertex has fewer free edges than
+    its missing degree, or a class fewer free edges than members left to
+    serve.  Otherwise it branches on the item with the fewest free
+    (class, edge) options: an open vertex, given all its missing edges at
+    once, or a class with one member left, given its one edge.  The root
+    also runs a flow check: does the union of the members have a k-factor at
+    all?  ``budget`` caps the nodes; running out is reported as
+    BUDGET_EXHAUSTED, never as absence.
     """
-    return _search(family.members, family.n, family.k, budget, prune_interval)
+    return _search(family, budget)
 
 
 def rainbow_perfect_matching_search(
     members: list[BipartiteGraph] | tuple[BipartiteGraph, ...],
     budget: int = DEFAULT_BUDGET,
-    prune_interval: int = DEFAULT_PRUNE_INTERVAL,
 ) -> SearchResult:
     """Rainbow perfect matching of exactly n graphs of half-order n
     (the k = 1 case of the factor search)."""
@@ -142,80 +148,151 @@ def rainbow_perfect_matching_search(
     n = members[0].n
     if len(members) != n:
         raise GraphError(f"need exactly n = {n} graphs, got {len(members)}")
-    return _search(members, n, 1, budget, prune_interval)
+    return _search(GraphFamily(n, 1, members), budget)
 
 
-def _search(
-    members: tuple[BipartiteGraph, ...],
-    n: int,
-    k: int,
-    budget: int,
-    prune_interval: int,
-) -> SearchResult:
-    total = len(members)
-    if total != k * n:
-        raise GraphError(f"need k*n = {k * n} members, got {total}")
-    member_edges = [list(g.edges()) for g in members]
-    # suffix_union[i] = bitset rows of all edges in members i..total-1
-    suffix_union: list[tuple[int, ...]] = [(0,) * n] * (total + 1)
-    for i in range(total - 1, -1, -1):
-        rows = tuple(
-            suffix_union[i + 1][r] | members[i].x_rows[r] for r in range(n)
-        )
-        suffix_union[i] = rows
+def _search(family: GraphFamily, budget: int) -> SearchResult:
+    n, k, members = family.n, family.k, family.members
+    classes: dict[tuple[int, ...], list[int]] = {}  # rows -> member indices
+    for i, g in enumerate(members, start=1):
+        classes.setdefault(g.x_rows, []).append(i)
+    class_rows = list(classes)
+    class_cols = [members[ix[0] - 1].y_cols for ix in classes.values()]
+    need = [len(ix) for ix in classes.values()]
+    union = BipartiteGraph(n, tuple(reduce(or_, column) for column in zip(*class_rows)))
 
-    used: set[Edge] = set()
-    deg_x = [0] * (n + 1)
-    deg_y = [0] * (n + 1)
-    assignment: list[tuple[int, Edge]] = []
+    # Vertices are 0-based within their part; X-vertex x and Y-vertex y are
+    # joined by edge (x, y).  A vertex is open while its deficit is positive.
+    deficit_x = [k] * n
+    deficit_y = [k] * n
+    used_rows = [0] * n  # bit y of used_rows[x] <=> edge (x, y) is taken
+    used_cols = [0] * n  # bit x of used_cols[y] <=> edge (x, y) is taken
+    chosen: list[tuple[int, int, int]] = []  # (class, x, y)
     nodes = 0
 
-    def completable(level: int) -> bool:
-        caps_x = [k - deg_x[i] for i in range(1, n + 1)]
-        caps_y = [k - deg_y[j] for j in range(1, n + 1)]
-        rows = suffix_union[level]
-        candidates = [
-            (x, y)
-            for x in range(1, n + 1)
-            if caps_x[x - 1] > 0
-            for y in range(n + 1, 2 * n + 1)
-            if caps_y[y - n - 1] > 0 and rows[x - 1] >> (y - n - 1) & 1 and (x, y) not in used
-        ]
-        return degree_constrained_subgraph(n, candidates, caps_x, caps_y) is not None
+    def place(c: int, x: int, y: int) -> None:
+        need[c] -= 1
+        deficit_x[x] -= 1
+        deficit_y[y] -= 1
+        used_rows[x] |= 1 << y
+        used_cols[y] |= 1 << x
+        chosen.append((c, x, y))
 
-    def descend(level: int) -> bool:
+    def unplace(c: int, x: int, y: int) -> None:
+        chosen.pop()
+        used_cols[y] &= ~(1 << x)
+        used_rows[x] &= ~(1 << y)
+        deficit_y[y] += 1
+        deficit_x[x] += 1
+        need[c] += 1
+
+    def descend() -> bool:
         nonlocal nodes
         nodes += 1
         if nodes > budget:
             raise _Budget
-        if level == total:
+        open_x = [x for x in range(n) if deficit_x[x]]
+        if not open_x:
             return True
-        if level % prune_interval == 0 and not completable(level):
+        if nodes == 1 and not k_factor_exists(union, k):
             return False
-        for x, y in member_edges[level]:
-            if deg_x[x] >= k or deg_y[y - n] >= k or (x, y) in used:
+        open_y = [y for y in range(n) if deficit_y[y]]
+        mask_x = sum(1 << x for x in open_x)
+        mask_y = sum(1 << y for y in open_y)
+        free_rows = [mask_y & ~used for used in used_rows]
+        free_cols = [mask_x & ~used for used in used_cols]
+        open_rows = [(x, free_rows[x]) for x in open_x]
+        open_cols = [(y, free_cols[y]) for y in open_y]
+        live = [c for c in range(len(need)) if need[c]]
+
+        # Free (class, edge) options at each open vertex, and the distinct
+        # free edges they reach; a class's free edges against its need.
+        options_x, reach_x = [0] * n, [0] * n
+        options_y, reach_y = [0] * n, [0] * n
+        best, best_cost = None, None
+        for c in live:
+            rows, cols = class_rows[c], class_cols[c]
+            free = 0
+            for x, free_row in open_rows:
+                edges = rows[x] & free_row
+                if edges:
+                    count = edges.bit_count()
+                    free += count
+                    options_x[x] += count
+                    reach_x[x] |= edges
+            if free < need[c]:
+                return False
+            if need[c] == 1 and (best_cost is None or free < best_cost):
+                best, best_cost = ("class", c), free
+            for y, free_col in open_cols:
+                edges = cols[y] & free_col
+                if edges:
+                    options_y[y] += edges.bit_count()
+                    reach_y[y] |= edges
+        for side, opens, deficit, options, reach in (
+            ("x", open_x, deficit_x, options_x, reach_x),
+            ("y", open_y, deficit_y, options_y, reach_y),
+        ):
+            for v in opens:
+                if reach[v].bit_count() < deficit[v]:
+                    return False
+                if best_cost is None or options[v] < best_cost:
+                    best, best_cost = (side, v), options[v]
+
+        kind, item = best
+        if kind == "class":
+            for x in open_x:
+                for y in _bits(class_rows[item][x] & free_rows[x]):
+                    place(item, x, y)
+                    if descend():
+                        return True
+                    unplace(item, x, y)
+            return False
+        if kind == "x":
+            options = [
+                (c, item, y)
+                for y in _bits(reach_x[item])
+                for c in live
+                if class_rows[c][item] >> y & 1
+            ]
+            deficit = deficit_x[item]
+        else:
+            options = [
+                (c, x, item)
+                for x in _bits(reach_y[item])
+                for c in live
+                if class_cols[c][item] >> x & 1
+            ]
+            deficit = deficit_y[item]
+        for combo in combinations(options, deficit):
+            if not _completes(combo, need):
                 continue
-            used.add((x, y))
-            deg_x[x] += 1
-            deg_y[y - n] += 1
-            assignment.append((level + 1, (x, y)))
-            if descend(level + 1):
+            for option in combo:
+                place(*option)
+            if descend():
                 return True
-            assignment.pop()
-            deg_x[x] -= 1
-            deg_y[y - n] -= 1
-            used.discard((x, y))
+            for option in reversed(combo):
+                unplace(*option)
         return False
 
     try:
-        found = descend(0)
+        found = descend()
     except _Budget:
         return SearchResult(BUDGET_EXHAUSTED, None, nodes)
-    if found:
-        result = tuple(assignment)
-        RainbowFactor(n, k, result).validate()
-        return SearchResult(FOUND, result, nodes)
-    return SearchResult(ABSENT, None, nodes)
+    if not found:
+        return SearchResult(ABSENT, None, nodes)
+    slots = [iter(ix) for ix in classes.values()]
+    result = tuple(sorted((next(slots[c]), (x + 1, n + y + 1)) for c, x, y in chosen))
+    RainbowFactor(n, k, result).validate(family)
+    return SearchResult(FOUND, result, nodes)
+
+
+def _completes(combo: tuple[tuple[int, int, int], ...], need: list[int]) -> bool:
+    """Whether (class, x, y) options take distinct edges and no class more
+    often than it still has members."""
+    taken = [c for c, _x, _y in combo]
+    edges = {(x, y) for _c, x, y in combo}
+    return len(edges) == len(combo) and all(taken.count(c) <= need[c] for c in taken)
 
 
 def diagonal_matching_schedule(n: int, k: int) -> MatchingSchedule:
@@ -320,8 +397,6 @@ def audit_shifted_family(
 def brute_force_k_factor_exists(g: BipartiteGraph, k: int) -> bool:
     """Oracle: enumerate every way each X-vertex picks k neighbors and check
     the Y-degrees.  Exponential; for n <= 4 only."""
-    from itertools import combinations
-
     n = g.n
     choices = []
     for x in range(1, n + 1):

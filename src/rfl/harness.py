@@ -159,7 +159,8 @@ def generate_extremal_variant_family(
 
 def run_campaign(name: str, config: ExperimentConfig) -> CampaignReport:
     """Execute one named campaign; writes the JSON report to
-    config.output_path when set."""
+    config.output_path when set.  A campaign that checked no case is an
+    error, not a pass."""
     runners = {
         "spectral-consistency": _campaign_spectral_consistency,
         "lemma33-grid": _campaign_margin_grid,
@@ -174,6 +175,8 @@ def run_campaign(name: str, config: ExperimentConfig) -> CampaignReport:
     started = time.perf_counter()
     report = CampaignReport(campaign=name, config=_config_dict(config))
     runners[name](config, report)
+    if not report.cases:
+        raise GraphError(f"campaign {name!r} checked no cases with config {_config_dict(config)}")
     report.cases.sort(key=lambda c: json.dumps(c["params"], sort_keys=True))
     report.wall_time_s = round(time.perf_counter() - started, 3)
     if config.output_path:

@@ -1,7 +1,9 @@
 import itertools
+from collections import Counter
 
 import pytest
 
+from rfl.construction import construct_rainbow_factor_extremal
 from rfl.factors import (
     ABSENT,
     BUDGET_EXHAUSTED,
@@ -23,7 +25,9 @@ from rfl.graphs import (
     GraphFamily,
     build_extremal,
     build_join,
+    labeled_extremal_copy,
 )
+from rfl.flow import degree_constrained_subgraph
 from rfl.spectral import extremal_spectral_radius
 from tests.conftest import random_graph
 
@@ -147,6 +151,98 @@ class TestRainbowSearch:
     def test_rejects_wrong_family_size(self):
         with pytest.raises(GraphError):
             rainbow_perfect_matching_search([BipartiteGraph.complete(3)] * 2)
+
+    def test_rejects_member_of_another_half_order(self):
+        members = [BipartiteGraph.complete(3)] * 2 + [BipartiteGraph.complete(4)]
+        with pytest.raises(GraphError, match="half-order"):
+            rainbow_perfect_matching_search(members)
+
+
+def oracle_rainbow_factor_exists(family: GraphFamily) -> bool:
+    """Oracle that does not branch like the search: try every k-regular
+    subgraph of the members' union, and ask a flow whether the kn members
+    can be matched one-to-one to its kn edges."""
+    n, k, total = family.n, family.k, len(family)
+    rows = [0] * n
+    for g in family.members:
+        rows = [r | m for r, m in zip(rows, g.x_rows)]
+    union = BipartiteGraph(n, tuple(rows))
+    picks_per_x = [itertools.combinations(union.neighbors(x), k) for x in range(1, n + 1)]
+    for picks in itertools.product(*picks_per_x):
+        edges = [(x, y) for x, ys in enumerate(picks, start=1) for y in ys]
+        y_degree = Counter(y for _x, y in edges)
+        if any(y_degree[y] != k for y in range(n + 1, 2 * n + 1)):
+            continue
+        candidates = [
+            (i, total + j)
+            for i, g in enumerate(family.members, start=1)
+            for j, e in enumerate(edges, start=1)
+            if g.has_edge(*e)
+        ]
+        if degree_constrained_subgraph(total, candidates, [1] * total, [1] * total) is not None:
+            return True
+    return False
+
+
+def cyclic_latin(n: int) -> list[BipartiteGraph]:
+    """G_i = {(x, y) : x + y = i mod n}, i = 1..n: the colour classes of the
+    cyclic Latin square, which has a transversal iff n is odd."""
+    return [
+        BipartiteGraph.from_edges(
+            n, [(x, n + y) for x in range(1, n + 1) for y in range(1, n + 1) if (x + y - i) % n == 0]
+        )
+        for i in range(1, n + 1)
+    ]
+
+
+def one_odd_family(n: int, k: int) -> GraphFamily:
+    """kn - 1 copies of B_{n,k} and one copy whose deficient vertex is n."""
+    odd = labeled_extremal_copy(n, k, n, tuple(range(n + 1, n + k)))
+    return GraphFamily(n, k, (build_extremal(n, k),) * (k * n - 1) + (odd,))
+
+
+class TestRainbowSearchAgainstOracle:
+    def test_agrees_with_oracle_on_families_with_repeated_members(self, rng):
+        statuses = Counter()
+        for _ in range(600):
+            n = int(rng.integers(2, 5))
+            k = int(rng.integers(1, min(3, n) + 1))
+            pool = [random_graph(rng, n, 0.2 + 0.8 * float(rng.random())) for _ in range(3)]
+            members = tuple(pool[int(i)] for i in rng.integers(0, len(pool), size=k * n))
+            family = GraphFamily(n, k, members)
+            result = rainbow_k_factor_search(family)
+            assert (result.status == FOUND) == oracle_rainbow_factor_exists(family), members
+            if result.status == FOUND:
+                result.factor(n, k).validate(family)
+            statuses[result.status, result.nodes_visited > 1] += 1
+        # both answers are common, and some absences need the backtracking
+        assert statuses[FOUND, True] >= 200 and statuses[ABSENT, False] >= 100, statuses
+        assert statuses[ABSENT, True] >= 10, statuses
+
+    def test_oracle_on_known_families(self):
+        assert oracle_rainbow_factor_exists(GraphFamily(3, 2, (BipartiteGraph.complete(3),) * 6))
+        assert not oracle_rainbow_factor_exists(GraphFamily(4, 2, (build_extremal(4, 2),) * 8))
+        assert oracle_rainbow_factor_exists(one_odd_family(4, 2))
+
+
+class TestAdversarialFamilies:
+    @pytest.mark.parametrize("n, k", [(6, 2), (7, 2), (8, 2), (6, 3)])
+    def test_one_odd_family_found_within_small_budget(self, n, k):
+        family = one_odd_family(n, k)
+        result = rainbow_k_factor_search(family, budget=10_000)
+        assert result.status == FOUND
+        result.factor(n, k).validate(family)
+        construct_rainbow_factor_extremal(family).validate(family)
+
+    @pytest.mark.parametrize("n", [6, 7, 8, 9, 10])
+    def test_cyclic_latin_square_has_transversal_iff_odd(self, n):
+        members = cyclic_latin(n)
+        result = rainbow_perfect_matching_search(members)
+        assert result.status == (FOUND if n % 2 else ABSENT)
+        if n % 2:
+            result.factor(n, 1).validate(GraphFamily(n, 1, tuple(members)))
+        else:
+            assert result.nodes_visited > 1  # decided by the backtracking, not the root
 
 
 class TestRainbowPerfectMatching:

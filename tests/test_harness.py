@@ -257,6 +257,15 @@ class TestCLI:
         assert code == 0
         assert json.loads(out.read_text())["summary"]["failed"] == 0
 
+    def test_campaign_that_checks_nothing_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        argv = ("campaign", "spectral-consistency", "--n-min", "9", "--n-max", "3")
+        assert self.run(*argv, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "no cases" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
     def test_missing_file_reports_error(self, capsys):
         assert self.run("rho", "--in", "/nonexistent/g.txt") == 2
         assert "error:" in capsys.readouterr().err
