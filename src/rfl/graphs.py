@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import permutations
 from typing import Iterable, Iterator
 
 Edge = tuple[int, int]
@@ -383,20 +382,3 @@ def induced_delete_vertex(g: BipartiteGraph, v: int) -> BipartiteGraph:
     bit = ~(1 << (v - n - 1))
     return BipartiteGraph(n, tuple(row & bit for row in g.x_rows))
 
-
-def brute_force_isomorphic_to_extremal(g: BipartiteGraph, n: int, k: int) -> bool:
-    """Oracle: try every part-preserving permutation, with and without the
-    X/Y swap.  Only usable for n <= 5."""
-    if g.n != n:
-        return False
-    target = build_extremal(n, k).edge_set()
-    for cand in (g, g.transposed()):
-        if cand.edge_count() != len(target):
-            continue
-        for px in permutations(range(1, n + 1)):
-            for py in permutations(range(n + 1, 2 * n + 1)):
-                perm = {i + 1: px[i] for i in range(n)}
-                perm.update({n + 1 + j: py[j] for j in range(n)})
-                if cand.relabeled(perm).edge_set() == target:
-                    return True
-    return False

@@ -34,6 +34,8 @@ from .graphs import (
 )
 from .shifting import bi_shift_fixpoint, is_bi_shifted, xy_shift
 from .spectral import (
+    ConvergenceError,
+    InconsistencyError,
     extremal_spectral_radius,
     join_margin,
     spectral_radius,
@@ -48,6 +50,10 @@ CAMPAIGNS = (
     "theorem-sample",
     "claims-audit",
 )
+
+# the errors the library raises on a case it cannot decide; anything else is
+# a programming error and propagates
+_LIBRARY_ERRORS = (GraphError, ConvergenceError, InconsistencyError)
 
 
 @dataclass(frozen=True)
@@ -226,7 +232,7 @@ def _campaign_margin_grid(config: ExperimentConfig, report: CampaignReport) -> N
             case: dict[str, Any] = {"params": {"n": n, "k": k, "p": p}}
             try:
                 margin = join_margin(params, tol=config.tol)
-            except Exception as exc:  # surface lower-module inconsistencies as failures
+            except _LIBRARY_ERRORS as exc:  # a failed case, not a crash
                 case["values"] = {"error": str(exc)}
                 case["ok"] = False
             else:
@@ -314,7 +320,7 @@ def _campaign_construction(config: ExperimentConfig, report: CampaignReport) -> 
                 search = rainbow_k_factor_search(family, budget=config.search_budget)
                 values["search_status"] = search.status
                 ok = search.status == FOUND
-        except Exception as exc:
+        except _LIBRARY_ERRORS as exc:
             values = {"constructed": False, "error": str(exc)}
             ok = False
         case["values"] = values
@@ -325,12 +331,16 @@ def _campaign_construction(config: ExperimentConfig, report: CampaignReport) -> 
 
 
 def _campaign_theorem_sample(config: ExperimentConfig, report: CampaignReport) -> None:
-    """Random families meeting the spectral bound: supergraphs of extremal
-    copies, plus the all-identical extremal family as the known exception."""
+    """Random families meeting the spectral bound, taking the (n, k) points
+    of the config's grid in turn: supergraphs of extremal copies, and every
+    fifth trial the all-identical extremal family as the known exception."""
     rng = make_rng(config.seed)
-    n, k = 4, 2
-    rho_min = extremal_spectral_radius(n, k)
+    grid = list(_grid(config))
+    if not grid:
+        return  # run_campaign rejects a campaign that checked no case
     for trial in range(config.trials):
+        n, k = grid[trial % len(grid)]
+        rho_min = extremal_spectral_radius(n, k)
         identical = trial % 5 == 0
         if identical:
             members = tuple(build_extremal(n, k) for _ in range(k * n))

@@ -35,29 +35,31 @@ def xy_shift(g: BipartiteGraph, x: int, y: int) -> BipartiteGraph:
     n = g.n
     if x >= y:
         raise GraphError(f"shift needs x < y, got ({x},{y})")
-    if 1 <= x <= n and 1 <= y <= n:
-        row_x, row_y = g.x_rows[x - 1], g.x_rows[y - 1]
-        movable = row_y & ~row_x
-        rows = list(g.x_rows)
-        rows[x - 1] = row_x | movable
-        rows[y - 1] = row_y & ~movable
-        return BipartiteGraph(n, tuple(rows))
-    if n < x <= 2 * n and n < y <= 2 * n:
-        cols = g.y_cols
-        col_x, col_y = cols[x - n - 1], cols[y - n - 1]
-        movable = col_y & ~col_x
-        new_x, new_y = col_x | movable, col_y & ~movable
-        rows = list(g.x_rows)
-        bx, by = 1 << (x - n - 1), 1 << (y - n - 1)
-        for i in range(n):
-            r = rows[i] & ~(bx | by)
-            if new_x >> i & 1:
-                r |= bx
-            if new_y >> i & 1:
-                r |= by
-            rows[i] = r
-        return BipartiteGraph(n, tuple(rows))
-    raise GraphError(f"({x},{y}) must lie in the same part of 1..{2 * n}")
+    if not (1 <= x < y <= n or n < x < y <= 2 * n):
+        raise GraphError(f"({x},{y}) must lie in the same part of 1..{2 * n}")
+    rows = list(g.x_rows)
+    _shift_rows(rows, n, x, y)
+    return BipartiteGraph(n, tuple(rows))
+
+
+def _shift_rows(rows: list[int], n: int, x: int, y: int) -> bool:
+    """Apply the (x, y)-shift in place to the X-rows of a graph with parts
+    1..n and n+1..2n (x < y in one part, not checked here).  Returns whether
+    any edge moved."""
+    if y <= n:  # row y gives row x the Y-neighbours row x lacks
+        movable = rows[y - 1] & ~rows[x - 1]
+        rows[x - 1] |= movable
+        rows[y - 1] ^= movable
+        return bool(movable)
+    # every X-vertex adjacent to y but not to x trades y for x
+    bx, by = 1 << (x - n - 1), 1 << (y - n - 1)
+    both = bx | by
+    moved = False
+    for i, row in enumerate(rows):
+        if row & both == by:
+            rows[i] = row ^ both
+            moved = True
+    return moved
 
 
 def is_bi_shifted(g: BipartiteGraph) -> bool:
@@ -78,22 +80,22 @@ def bi_shift_fixpoint(g: BipartiteGraph) -> tuple[BipartiteGraph, ShiftTrace]:
     order until a full sweep changes nothing.
 
     Terminates: every applied change strictly decreases the sum of endpoint
-    labels over all edges.
+    labels over all edges.  The sweep shifts a list of X-rows in place and
+    builds one graph at the end.
     """
     n = g.n
     pairs = [("X", x, y) for x in range(1, n) for y in range(x + 1, n + 1)]
     pairs += [("Y", x, y) for x in range(n + 1, 2 * n) for y in range(x + 1, 2 * n + 1)]
+    rows = list(g.x_rows)
     steps: list[ShiftStep] = []
     changed = True
     while changed:
         changed = False
-        for part, x, y in pairs:
-            shifted = xy_shift(g, x, y)
-            if shifted != g:
-                g = shifted
-                steps.append((part, x, y))
+        for step in pairs:
+            if _shift_rows(rows, n, step[1], step[2]):
+                steps.append(step)
                 changed = True
-    return g, ShiftTrace(tuple(steps))
+    return BipartiteGraph(n, tuple(rows)), ShiftTrace(tuple(steps))
 
 
 def shift_family(members: tuple[BipartiteGraph, ...]) -> tuple[tuple[BipartiteGraph, ...], tuple[ShiftTrace, ...]]:

@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -6,7 +8,6 @@ from rfl.graphs import (
     ExtremalParams,
     GraphError,
     bowtie_join,
-    brute_force_isomorphic_to_extremal,
     build_complete_bipartite,
     build_extremal,
     build_join,
@@ -16,6 +17,24 @@ from rfl.graphs import (
     labeled_extremal_copy,
     quasi_complement,
 )
+
+
+def brute_force_isomorphic_to_extremal(g: BipartiteGraph, n: int, k: int) -> bool:
+    """Oracle: try every part-preserving permutation, with and without the
+    X/Y swap.  Only usable for n <= 5."""
+    if g.n != n:
+        return False
+    target = build_extremal(n, k).edge_set()
+    for cand in (g, g.transposed()):
+        if cand.edge_count() != len(target):
+            continue
+        for px in permutations(range(1, n + 1)):
+            for py in permutations(range(n + 1, 2 * n + 1)):
+                perm = {i + 1: px[i] for i in range(n)}
+                perm.update({n + 1 + j: py[j] for j in range(n)})
+                if cand.relabeled(perm).edge_set() == target:
+                    return True
+    return False
 
 
 def graphs(max_n=5):

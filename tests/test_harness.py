@@ -148,6 +148,29 @@ class TestCampaigns:
         assert payload["summary"]["passed"] == report.passed == 3
         assert payload["summary"]["failed"] == 0
 
+    @pytest.mark.parametrize(
+        "campaign, name",
+        [("lemma33-grid", "join_margin"), ("lemma32-construction", "construct_rainbow_factor_extremal")],
+    )
+    def test_only_library_errors_become_failed_cases(self, monkeypatch, campaign, name):
+        import rfl.harness
+
+        config = ExperimentConfig(seed=1, trials=2, n_range=(4, 5), k_range=(2, 2))
+
+        def fail(exc):
+            def call(*args, **kwargs):
+                raise exc("the computation gave up")
+
+            return call
+
+        monkeypatch.setattr(rfl.harness, name, fail(GraphError))
+        report = run_campaign(campaign, config)
+        assert report.cases and report.failed == len(report.cases)
+        assert all(c["values"]["error"] == "the computation gave up" for c in report.cases)
+        monkeypatch.setattr(rfl.harness, name, fail(TypeError))
+        with pytest.raises(TypeError):
+            run_campaign(campaign, config)
+
     def test_failing_case_embeds_instance(self, monkeypatch):
         # force a failure by auditing against an unreachable threshold being
         # met vacuously is not possible; instead check the serializer path on
@@ -265,6 +288,18 @@ class TestCLI:
         assert err.startswith("error:") and "no cases" in err
         assert len(err.strip().splitlines()) == 1
         assert not out.exists()
+
+    def test_theorem_sample_honours_ranges(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        argv = ("campaign", "theorem-sample", "--n-min", "6", "--n-max", "6", "--trials", "5")
+        assert self.run(*argv, "--out", str(out)) == 0
+        payload = json.loads(out.read_text())
+        assert payload["config"]["n_range"] == [6, 6]
+        cases = payload["cases"]
+        assert len(cases) == 5 and payload["summary"]["failed"] == 0
+        assert {c["params"]["n"] for c in cases} == {6}
+        assert {c["params"]["k"] for c in cases} == {2, 3}  # k = 4 needs n >= 8
+        assert sum(c["params"]["identical"] for c in cases) == 1
 
     def test_missing_file_reports_error(self, capsys):
         assert self.run("rho", "--in", "/nonexistent/g.txt") == 2

@@ -17,6 +17,42 @@ def graphs(max_n=5):
     ).map(lambda t: BipartiteGraph(t[0], t[1]))
 
 
+def naive_shift(original: set, x: int, y: int) -> set:
+    """Oracle: the per-edge shift rule on a plain edge set, membership tested
+    against the original edges, all moves simultaneous."""
+    moved = set()
+    for e in original:
+        if y in e and x not in e:
+            rewired = tuple(sorted((set(e) - {y}) | {x}))
+            if rewired not in original:
+                moved.add((e, rewired))
+    edges = set(original)
+    for old, new in moved:
+        edges.discard(old)
+        edges.add(new)
+    return edges
+
+
+def reference_fixpoint(g: BipartiteGraph) -> tuple[BipartiteGraph, tuple]:
+    """Oracle: the same sweep order on edge sets, one naive shift per pair,
+    a step recorded whenever the edge set changed."""
+    n = g.n
+    pairs = [("X", x, y) for x in range(1, n) for y in range(x + 1, n + 1)]
+    pairs += [("Y", x, y) for x in range(n + 1, 2 * n) for y in range(x + 1, 2 * n + 1)]
+    edges = g.edge_set()
+    steps = []
+    changed = True
+    while changed:
+        changed = False
+        for part, x, y in pairs:
+            shifted = naive_shift(edges, x, y)
+            if shifted != edges:
+                edges = shifted
+                steps.append((part, x, y))
+                changed = True
+    return BipartiteGraph.from_edges(n, edges), tuple(steps)
+
+
 class TestXYShift:
     def test_single_movable_edge(self):
         g = BipartiteGraph.from_edges(2, [(2, 4)])
@@ -62,31 +98,14 @@ class TestXYShift:
         assert xy_shift(g, x, y).edge_count() == g.edge_count()
 
     def test_matches_naive_reference(self, rng):
-        # oracle: per-edge rule on plain edge sets, membership tested against
-        # the original graph, all moves simultaneous
-        def naive(g, x, y):
-            original = g.edge_set()
-            moved = set()
-            for e in original:
-                if y in e and x not in e:
-                    rewired = tuple(sorted((set(e) - {y}) | {x}))
-                    rewired = (min(rewired), max(rewired))
-                    if rewired not in original:
-                        moved.add((e, rewired))
-            edges = set(original)
-            for old, new in moved:
-                edges.discard(old)
-                edges.add(new)
-            return edges
-
         for _ in range(60):
             n = int(rng.integers(2, 7))
             g = random_graph(rng, n, float(rng.random()))
             for x in range(1, n):
                 for y in range(x + 1, n + 1):
-                    assert xy_shift(g, x, y).edge_set() == naive(g, x, y)
-                    assert (
-                        xy_shift(g, x + n, y + n).edge_set() == naive(g, x + n, y + n)
+                    assert xy_shift(g, x, y).edge_set() == naive_shift(g.edge_set(), x, y)
+                    assert xy_shift(g, x + n, y + n).edge_set() == naive_shift(
+                        g.edge_set(), x + n, y + n
                     )
 
 
@@ -170,6 +189,14 @@ class TestFixpoint:
     def test_trace_replays_to_fixpoint(self, g):
         fixed, trace = bi_shift_fixpoint(g)
         assert trace.replay(g) == fixed
+
+    def test_matches_reference_sweep(self, rng):
+        # fixed graph and step trace, on seeded graphs of every half-order <= 8
+        for trial in range(160):
+            n = trial % 8 + 1
+            g = random_graph(rng, n, float(rng.random()))
+            fixed, trace = bi_shift_fixpoint(g)
+            assert (fixed, trace.steps) == reference_fixpoint(g)
 
     def test_every_recorded_step_changed_the_graph(self, rng):
         for _ in range(25):

@@ -12,6 +12,7 @@ from rfl.graphs import (
     build_join,
 )
 from rfl.spectral import (
+    _DENSE_START_MAX,
     ConvergenceError,
     extremal_charpoly,
     extremal_spectral_radius,
@@ -27,6 +28,23 @@ from tests.conftest import random_graph
 RHO_B_4_2 = 3.502325127302632
 # join(4,2,3) radius: 1 + sqrt(5)
 RHO_JOIN_4_2_3 = 3.23606797749979
+
+
+def path_graph(m: int) -> BipartiteGraph:
+    """The path on 2m vertices x1 y1 x2 y2 ... xm ym: one block of m Y-vertices."""
+    return BipartiteGraph.from_edges(
+        m, [(i, m + i) for i in range(1, m + 1)] + [(i + 1, m + i) for i in range(1, m)]
+    )
+
+
+def assert_bracket_contains(g: BipartiteGraph, report) -> None:
+    # value <= rho <= value + residual, up to eigvalsh's own rounding
+    # (backward stable: a few multiples of n * eps * rho)
+    rho = dense_rho(g)
+    slack = 2 * g.n * np.finfo(float).eps * max(rho, 1.0)
+    assert report.residual < 1e-10
+    assert report.value <= rho + slack
+    assert rho <= report.value + report.residual + slack
 
 
 def dense_rho(g: BipartiteGraph) -> float:
@@ -79,8 +97,6 @@ class TestPowerIteration:
         assert spectral_radius(g).value == pytest.approx(2.0, abs=1e-8)
 
     def test_bracket_contains_dense_radius(self, rng):
-        # value <= rho <= value + residual, up to eigvalsh's own rounding
-        # (backward stable: a few multiples of n * eps * rho)
         graphs = [build_extremal(160, 2)]
         for _ in range(120):
             n = int(rng.integers(1, 10))
@@ -89,12 +105,58 @@ class TestPowerIteration:
             isolated = int(rng.integers(1, n + 1))
             graphs.append(BipartiteGraph(n, tuple(r & ~(1 << (isolated - 1)) for r in g.x_rows)))
         for g in graphs:
-            report = spectral_radius(g)
-            rho = dense_rho(g)
-            slack = 2 * g.n * np.finfo(float).eps * max(rho, 1.0)
-            assert report.residual < 1e-10
-            assert report.value <= rho + slack
-            assert rho <= report.value + report.residual + slack
+            assert_bracket_contains(g, spectral_radius(g))
+
+    def test_bracket_contains_dense_radius_on_every_small_graph(self):
+        # every graph with n <= 3 and its transpose: all their blocks are
+        # dense-started
+        for n in range(1, 4):
+            for code in range(1 << (n * n)):
+                rows = tuple((code >> (n * i)) & ((1 << n) - 1) for i in range(n))
+                g = BipartiteGraph(n, rows)
+                for h in (g, g.transposed()):
+                    assert_bracket_contains(h, spectral_radius(h))
+
+    def test_dense_start_limit(self, monkeypatch):
+        # a path's block needs many products from all-ones; one at or below
+        # the limit is started from eigh's Perron vector and closes at once
+        sizes = []
+        eigh = np.linalg.eigh
+
+        def spy(a):
+            sizes.append(a.shape[0])
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        below = spectral_radius(path_graph(_DENSE_START_MAX))
+        assert sizes == [_DENSE_START_MAX]
+        assert below.iterations == 1
+        above = spectral_radius(path_graph(_DENSE_START_MAX + 1))
+        assert sizes == [_DENSE_START_MAX]
+        assert above.iterations > 50
+        for m, report in ((_DENSE_START_MAX, below), (_DENSE_START_MAX + 1, above)):
+            assert_bracket_contains(path_graph(m), report)
+
+    def test_dense_start_falls_back_to_all_ones(self, monkeypatch):
+        # a start vector with a zero entry would divide by zero in the
+        # Collatz-Wielandt bound; the block must start from all-ones instead
+        g = path_graph(8)
+
+        def start_with(vector):
+            def fake(a):
+                return np.zeros(len(a)), np.tile(vector(len(a)), (len(a), 1)).T
+
+            return fake
+
+        monkeypatch.setattr(np.linalg, "eigh", start_with(lambda size: np.ones(size)))
+        from_ones = spectral_radius(g)
+        monkeypatch.setattr(
+            np.linalg, "eigh", start_with(lambda size: np.eye(size)[0])  # zero past entry 0
+        )
+        fallback = spectral_radius(g)
+        assert fallback == from_ones
+        assert fallback.iterations > 1
+        assert_bracket_contains(g, fallback)
 
     def test_slow_top_component_beside_small_one(self):
         # a path on 40 vertices (rho = 2 cos(pi/41)) beside a path on 4
@@ -122,9 +184,14 @@ class TestPowerIteration:
             )
 
     def test_iteration_cap_raises(self):
-        g = build_extremal(6, 2)
+        # 20 Y-vertices in one block: above the dense-start limit
+        g = build_extremal(20, 2)
         with pytest.raises(ConvergenceError):
             spectral_radius(g, tol=1e-16, max_iterations=3)
+
+    def test_zero_iteration_cap_raises_on_dense_started_block(self):
+        with pytest.raises(ConvergenceError):
+            spectral_radius(build_extremal(6, 2), max_iterations=0)
 
     def test_rejects_bad_tolerance(self):
         with pytest.raises(GraphError):
