@@ -6,6 +6,20 @@ never re-explore the permutations of identical members, and they branch on
 the most constrained item (an open vertex or a class with one member left),
 as in exact-cover search.  Free edges are per-vertex bitmasks counted with
 ``int.bit_count``; a flow check on the members' union prunes at the root.
+
+Orbit pruning (McKay, "Isomorph-free exhaustive generation", J. Algorithms
+1998) removes much of the family's remaining symmetry.  An automorphism of
+the family is a permutation of X and one of Y, optionally composed with the
+X<->Y transpose, that maps every class onto a class with the same member
+count.  If such a map g fixes the placements made so far and sends a failed
+child onto a later sibling, g's inverse would carry any factor through that
+sibling back through the failed child, so the sibling fails too and is
+skipped.  Maps are sought only after a child fails with siblings left, at
+the root and its children, and every map is checked against the classes
+before use, so a missed map only prunes less.  ``SearchResult.orbit_skips``
+counts the skipped children and ``SearchResult.automorphisms`` the maps
+found.
+
 Absence is only ever reported when the tree has been exhausted; running out
 of node budget is a distinct third status.
 """
@@ -14,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, permutations
 from operator import or_
 
 from .flow import k_factor_exists
@@ -36,8 +50,6 @@ __all__ = [
     "rainbow_perfect_matching_search",
     "diagonal_matching_schedule",
     "audit_shifted_family",
-    "brute_force_k_factor_exists",
-    "brute_force_rainbow_matching",
 ]
 
 FOUND = "found"
@@ -107,6 +119,8 @@ class SearchResult:
     status: str  # FOUND | ABSENT | BUDGET_EXHAUSTED
     assignment: tuple[tuple[int, Edge], ...] | None
     nodes_visited: int
+    orbit_skips: int = 0  # children skipped as images of a failed sibling
+    automorphisms: int = 0  # verified family automorphisms found
 
     def factor(self, n: int, k: int) -> RainbowFactor:
         if self.status != FOUND or self.assignment is None:
@@ -130,8 +144,20 @@ def rainbow_k_factor_search(family: GraphFamily, budget: int = DEFAULT_BUDGET) -
     (class, edge) options: an open vertex, given all its missing edges at
     once, or a class with one member left, given its one edge.  The root
     also runs a flow check: does the union of the members have a k-factor at
-    all?  ``budget`` caps the nodes; running out is reported as
-    BUDGET_EXHAUSTED, never as absence.
+    all?
+
+    At the root and its children, once a child fails and siblings remain,
+    the search looks for family automorphisms that fix the placements made
+    so far and send the failed child onto a later sibling (the branch class
+    fixed, or the branch vertex fixed with no transpose).  Every sibling in
+    the orbit of a failed child under the maps found is skipped: it cannot
+    lead to a factor, since the inverse map would carry one back to the
+    failed child.  Each map is verified against the classes before use, the
+    explored children keep their order, and so the factor returned is the
+    one the search would find without pruning.  ``orbit_skips`` counts the
+    skipped children and ``automorphisms`` the verified maps; both, like
+    ``nodes_visited``, repeat exactly from run to run.  ``budget`` caps the
+    nodes; running out is reported as BUDGET_EXHAUSTED, never as absence.
     """
     return _search(family, budget)
 
@@ -168,7 +194,8 @@ def _search(family: GraphFamily, budget: int) -> SearchResult:
     used_rows = [0] * n  # bit y of used_rows[x] <=> edge (x, y) is taken
     used_cols = [0] * n  # bit x of used_cols[y] <=> edge (x, y) is taken
     chosen: list[tuple[int, int, int]] = []  # (class, x, y)
-    nodes = 0
+    nodes = orbit_skips = automorphisms = 0
+    finder: _Symmetry | None = None
 
     def place(c: int, x: int, y: int) -> None:
         need[c] -= 1
@@ -186,7 +213,7 @@ def _search(family: GraphFamily, budget: int) -> SearchResult:
         deficit_x[x] += 1
         need[c] += 1
 
-    def descend() -> bool:
+    def descend(depth: int) -> bool:
         nonlocal nodes
         nodes += 1
         if nodes > budget:
@@ -241,50 +268,93 @@ def _search(family: GraphFamily, budget: int) -> SearchResult:
 
         kind, item = best
         if kind == "class":
-            for x in open_x:
-                for y in _bits(class_rows[item][x] & free_rows[x]):
-                    place(item, x, y)
-                    if descend():
-                        return True
-                    unplace(item, x, y)
-            return False
-        if kind == "x":
-            options = [
-                (c, item, y)
-                for y in _bits(reach_x[item])
-                for c in live
-                if class_rows[c][item] >> y & 1
-            ]
-            deficit = deficit_x[item]
+            children = (
+                ((item, x, y),) for x in open_x for y in _bits(class_rows[item][x] & free_rows[x])
+            )
         else:
-            options = [
-                (c, x, item)
-                for x in _bits(reach_y[item])
-                for c in live
-                if class_cols[c][item] >> x & 1
-            ]
-            deficit = deficit_y[item]
-        for combo in combinations(options, deficit):
-            if not _completes(combo, need):
-                continue
-            for option in combo:
-                place(*option)
-            if descend():
+            if kind == "x":
+                options = [
+                    (c, item, y)
+                    for y in _bits(reach_x[item])
+                    for c in live
+                    if class_rows[c][item] >> y & 1
+                ]
+                deficit = deficit_x[item]
+            else:
+                options = [
+                    (c, x, item)
+                    for x in _bits(reach_y[item])
+                    for c in live
+                    if class_cols[c][item] >> x & 1
+                ]
+                deficit = deficit_y[item]
+            children = (
+                combo for combo in combinations(options, deficit) if _completes(combo, need)
+            )
+        for combo in children:
+            if branch(combo, depth + 1):
                 return True
-            for option in reversed(combo):
-                unplace(*option)
+            # Orbit pruning at the root and its children only: deeper, the
+            # placements made leave no symmetry on the families measured
+            # (cyclic squares of orders 8-12 prune nothing more), and a map
+            # search at every failed node costs more than it saves.
+            if depth <= 1:
+                return prune_orbits(combo, list(children), kind == "class", depth)
         return False
 
+    def branch(combo: tuple, depth: int) -> bool:
+        for option in combo:
+            place(*option)
+        if descend(depth):
+            return True
+        for option in reversed(combo):
+            unplace(*option)
+        return False
+
+    def prune_orbits(failed: tuple, later: list, transpose: bool, depth: int) -> bool:
+        """Try the siblings ``later`` of the failed child ``failed`` in order,
+        skipping each that a verified map fixing the placements made so far
+        sends a failed child onto."""
+        nonlocal orbit_skips, automorphisms
+        dead: set[frozenset] = set()
+        maps: list[tuple] = []
+        i = 0
+        while True:
+            dead.add(frozenset(failed))
+            _close(dead, maps)
+            for other in later[i:]:
+                if frozenset(other) not in dead:
+                    g = symmetry().map_between(chosen, failed, other, transpose)
+                    if g is not None:
+                        automorphisms += 1
+                        maps.append(g)
+                        _close(dead, maps)
+            while i < len(later) and frozenset(later[i]) in dead:
+                orbit_skips += 1
+                i += 1
+            if i == len(later):
+                return False
+            failed = later[i]
+            i += 1
+            if branch(failed, depth + 1):
+                return True
+
+    def symmetry() -> _Symmetry:
+        nonlocal finder
+        if finder is None:
+            finder = _Symmetry(n, class_rows, class_cols, [len(ix) for ix in classes.values()])
+        return finder
+
     try:
-        found = descend()
+        found = descend(0)
     except _Budget:
-        return SearchResult(BUDGET_EXHAUSTED, None, nodes)
+        return SearchResult(BUDGET_EXHAUSTED, None, nodes, orbit_skips, automorphisms)
     if not found:
-        return SearchResult(ABSENT, None, nodes)
+        return SearchResult(ABSENT, None, nodes, orbit_skips, automorphisms)
     slots = [iter(ix) for ix in classes.values()]
     result = tuple(sorted((next(slots[c]), (x + 1, n + y + 1)) for c, x, y in chosen))
     RainbowFactor(n, k, result).validate(family)
-    return SearchResult(FOUND, result, nodes)
+    return SearchResult(FOUND, result, nodes, orbit_skips, automorphisms)
 
 
 def _completes(combo: tuple[tuple[int, int, int], ...], need: list[int]) -> bool:
@@ -293,6 +363,195 @@ def _completes(combo: tuple[tuple[int, int, int], ...], need: list[int]) -> bool
     taken = [c for c, _x, _y in combo]
     edges = {(x, y) for _c, x, y in combo}
     return len(edges) == len(combo) and all(taken.count(c) <= need[c] for c in taken)
+
+
+def _close(dead: set[frozenset], maps: list[tuple]) -> None:
+    """Add to ``dead`` every image of its members under the group ``maps``
+    generate."""
+    stack = list(dead)
+    while stack:
+        combo = stack.pop()
+        for g in maps:
+            image = frozenset(_image(g, option) for option in combo)
+            if image not in dead:
+                dead.add(image)
+                stack.append(image)
+
+
+def _image(g: tuple, option: tuple[int, int, int]) -> tuple[int, int, int]:
+    """Where automorphism g = (transpose, sx, sy, pc) sends placement
+    (class, x, y)."""
+    transpose, sx, sy, pc = g
+    c, x, y = option
+    return (pc[c], sy[y], sx[x]) if transpose else (pc[c], sx[x], sy[y])
+
+
+class _Symmetry:
+    """Finds automorphisms of a family of classes: a permutation of X and one
+    of Y, optionally composed with the X<->Y transpose, that maps every class
+    onto a class with the same member count.
+
+    A map is sought from a source structure (the family, or its transpose) to
+    the family by backtracking over candidate sets for the X-vertices, the
+    Y-vertices and the classes (sorts 0, 1, 2).  Candidates start from degree
+    and class-size invariants.  Once a point of each of two sorts is fixed,
+    the third sort is narrowed through the x-y-class incidence, the way a
+    Latin square is completed from any two of row, column and symbol.  The
+    class map is then re-derived from the vertex maps and checked: a map that
+    fails the check is never returned.
+    """
+
+    def __init__(self, n: int, class_rows: list, class_cols: list, count: list[int]):
+        self.n, self.class_rows, self.count = n, class_rows, count
+        self.index = {rows: c for c, rows in enumerate(class_rows)}
+        m = len(class_rows)
+        xc = [[rows[x] for rows in class_rows] for x in range(n)]  # X-vertex, class -> Y-mask
+        yc = [[cols[y] for cols in class_cols] for y in range(n)]  # Y-vertex, class -> X-mask
+        xy = [  # X-vertex, Y-vertex -> class mask
+            [sum(1 << c for c in range(m) if xc[x][c] >> y & 1) for y in range(n)]
+            for x in range(n)
+        ]
+        self.target = (xy, xc, yc)
+        self.sources = (self.target, ([list(col) for col in zip(*xy)], yc, xc))
+        want = self._invariants(self.target)
+        self.start = []
+        for source in self.sources:
+            cand = [
+                [sum(1 << q for q, other in enumerate(want[s]) if other == own) for own in mine]
+                for s, mine in enumerate(self._invariants(source))
+            ]
+            self.start.append(cand if all(map(all, cand)) else None)
+
+    def _invariants(self, structure: tuple) -> list[list]:
+        _xy, xc, yc = structure
+        count = self.count
+
+        def profile(masks: list[int]) -> tuple:
+            return tuple(sorted((count[c], m.bit_count()) for c, m in enumerate(masks) if m))
+
+        sizes = [sum(masks[c].bit_count() for masks in xc) for c in range(len(count))]
+        return [[profile(r) for r in xc], [profile(r) for r in yc], list(zip(count, sizes))]
+
+    def map_between(self, kept: list, src: tuple, dst: tuple, transpose: bool) -> tuple | None:
+        """A verified automorphism that fixes each placement in ``kept`` and
+        sends the placements ``src`` onto ``dst`` (in some order), or None if
+        none is found."""
+        for t in (0, 1) if transpose else (0,):
+            if self.start[t] is None:
+                continue
+            for image in permutations(dst):
+                cand = [list(sort) for sort in self.start[t]]
+                for (c, x, y), (c2, x2, y2) in zip([*kept, *src], [*kept, *image]):
+                    for s, p, q in ((0, y if t else x, x2), (1, x if t else y, y2), (2, c, c2)):
+                        cand[s][p] &= 1 << q
+                queue = [
+                    (s, p)
+                    for s, sort in enumerate(cand)
+                    for p, mask in enumerate(sort)
+                    if mask & (mask - 1) == 0
+                ]
+                if any(not cand[s][p] for s, p in queue):
+                    continue
+                fixed: dict = {}
+                if self._propagate(t, cand, fixed, queue):
+                    done = self._extend(t, cand, fixed)
+                    g = done and self._verified(t, done)
+                    if g:
+                        return g
+        return None
+
+    def _extend(self, t: int, cand: list, fixed: dict) -> list | None:
+        """Backtrack on the point with the fewest candidates left."""
+        best, size = None, None
+        for s, sort in enumerate(cand):
+            for p, mask in enumerate(sort):
+                count = mask.bit_count()
+                if count > 1 and (size is None or count < size):
+                    best, size = (s, p, mask), count
+        if best is None:
+            return cand
+        s, p, mask = best
+        for q in _bits(mask):
+            trial = [list(sort) for sort in cand]
+            trial[s][p] = 1 << q
+            trial_fixed = dict(fixed)
+            if self._propagate(t, trial, trial_fixed, [(s, p)]):
+                done = self._extend(t, trial, trial_fixed)
+                if done:
+                    return done
+        return None
+
+    def _propagate(self, t: int, cand: list, fixed: dict, queue: list) -> bool:
+        """Fix each queued singleton: drop its image from the other points of
+        its sort, and narrow the third sort against every fixed point of
+        another sort.  False on a contradiction."""
+        source, target = self.sources[t], self.target
+        while queue:
+            s, p = queue.pop()
+            if (s, p) in fixed:
+                continue
+            bit = cand[s][p]
+            sort = cand[s]
+            for q, mask in enumerate(sort):
+                if q != p and mask & bit:
+                    mask &= ~bit
+                    if not mask:
+                        return False
+                    sort[q] = mask
+                    if mask & (mask - 1) == 0:
+                        queue.append((s, q))
+            for (s2, p2), bit2 in fixed.items():
+                if s2 == s:
+                    continue
+                r, own = _incident(source, s, p, s2, p2)
+                _, other = _incident(target, s, bit.bit_length() - 1, s2, bit2.bit_length() - 1)
+                third = cand[r]
+                for q, mask in enumerate(third):
+                    narrowed = mask & other if own >> q & 1 else mask & ~other
+                    if narrowed != mask:
+                        if not narrowed:
+                            return False
+                        third[q] = narrowed
+                        if narrowed & (narrowed - 1) == 0:
+                            queue.append((r, q))
+            fixed[s, p] = bit
+        return True
+
+    def _verified(self, t: int, cand: list) -> tuple | None:
+        """The automorphism the singleton candidates spell, if every class's
+        image edge set is a class with the same member count."""
+        n = self.n
+        first, second = ([mask.bit_length() - 1 for mask in sort] for sort in cand[:2])
+        sx, sy = (second, first) if t else (first, second)  # images of X- and Y-vertices
+        if sorted(sx) != list(range(n)) or sorted(sy) != list(range(n)):
+            return None
+        pc = []
+        for c, rows in enumerate(self.class_rows):
+            image = [0] * n
+            for x, row in enumerate(rows):
+                for y in _bits(row):
+                    if t:
+                        image[sy[y]] |= 1 << sx[x]
+                    else:
+                        image[sx[x]] |= 1 << sy[y]
+            d = self.index.get(tuple(image))
+            if d is None or self.count[d] != self.count[c]:
+                return None
+            pc.append(d)
+        return t, sx, sy, pc
+
+
+def _incident(structure: tuple, s: int, p: int, s2: int, p2: int) -> tuple[int, int]:
+    """The third sort, and the mask of its points incident with point p of
+    sort s and point p2 of sort s2."""
+    xy, xc, yc = structure
+    if s > s2:
+        s, p, s2, p2 = s2, p2, s, p
+    if s2 == 1:
+        return 2, xy[p][p2]
+    if s == 0:
+        return 1, xc[p][p2]
+    return 0, yc[p][p2]
 
 
 def diagonal_matching_schedule(n: int, k: int) -> MatchingSchedule:
@@ -393,50 +652,3 @@ def audit_shifted_family(
         )
     return FamilyAuditReport(n, k, rho_threshold, tuple(audits))
 
-
-def brute_force_k_factor_exists(g: BipartiteGraph, k: int) -> bool:
-    """Oracle: enumerate every way each X-vertex picks k neighbors and check
-    the Y-degrees.  Exponential; for n <= 4 only."""
-    n = g.n
-    choices = []
-    for x in range(1, n + 1):
-        nbrs = g.neighbors(x)
-        if len(nbrs) < k:
-            return False
-        choices.append(list(combinations(nbrs, k)))
-
-    def rec(i: int, ydeg: dict[int, int]) -> bool:
-        if i == n:
-            return all(d == k for d in ydeg.values())
-        for combo in choices[i]:
-            if any(ydeg[y] + 1 > k for y in combo):
-                continue
-            for y in combo:
-                ydeg[y] += 1
-            if rec(i + 1, ydeg):
-                return True
-            for y in combo:
-                ydeg[y] -= 1
-        return False
-
-    return rec(0, {y: 0 for y in range(n + 1, 2 * n + 1)})
-
-
-def brute_force_rainbow_matching(
-    members: list[BipartiteGraph] | tuple[BipartiteGraph, ...],
-) -> tuple[tuple[int, Edge], ...] | None:
-    """Oracle: enumerate all ways to take one edge per member and test the
-    perfect-matching property directly."""
-    from itertools import product
-
-    members = tuple(members)
-    n = members[0].n
-    edge_lists = [list(g.edges()) for g in members]
-    if any(not edges for edges in edge_lists):
-        return None
-    for combo in product(*edge_lists):
-        xs = {x for x, _ in combo}
-        ys = {y for _, y in combo}
-        if len(xs) == n and len(ys) == n:
-            return tuple((i + 1, e) for i, e in enumerate(combo))
-    return None

@@ -293,6 +293,8 @@ def _campaign_extremal_absence(config: ExperimentConfig, report: CampaignReport)
             "values": {
                 "search_status": result.status,
                 "nodes": result.nodes_visited,
+                "orbit_skips": result.orbit_skips,
+                "automorphisms": result.automorphisms,
                 "k_factor_exists": has_factor,
             },
             "ok": ok,
@@ -369,6 +371,8 @@ def _campaign_theorem_sample(config: ExperimentConfig, report: CampaignReport) -
                 "search_status": result.status,
                 "expected": expected,
                 "nodes": result.nodes_visited,
+                "orbit_skips": result.orbit_skips,
+                "automorphisms": result.automorphisms,
             },
             "ok": ok,
         }

@@ -13,8 +13,6 @@ from rfl.factors import (
     ABSENT,
     FOUND,
     audit_shifted_family,
-    brute_force_k_factor_exists,
-    brute_force_rainbow_matching,
     diagonal_matching_schedule,
     k_factor_exists,
     rainbow_k_factor_search,
@@ -40,6 +38,7 @@ from rfl.spectral import (
     spectral_radius,
 )
 from tests.conftest import random_graph
+from tests.oracles import brute_force_k_factor_exists, brute_force_rainbow_matching
 
 
 def report(number: int, name: str, ok: bool, elapsed: float, budget: float, detail: str = ""):

@@ -11,12 +11,12 @@ from rfl.factors import (
     MatchingSchedule,
     RainbowFactor,
     audit_shifted_family,
-    brute_force_k_factor_exists,
-    brute_force_rainbow_matching,
     diagonal_matching_schedule,
     k_factor_exists,
     rainbow_k_factor_search,
     rainbow_perfect_matching_search,
+    _image,
+    _Symmetry,
 )
 from rfl.graphs import (
     BipartiteGraph,
@@ -25,11 +25,17 @@ from rfl.graphs import (
     GraphFamily,
     build_extremal,
     build_join,
+    _bits,
     labeled_extremal_copy,
 )
 from rfl.flow import degree_constrained_subgraph
 from rfl.spectral import extremal_spectral_radius
 from tests.conftest import random_graph
+from tests.oracles import (
+    brute_force_automorphisms,
+    brute_force_k_factor_exists,
+    brute_force_rainbow_matching,
+)
 
 
 class TestKFactorExists:
@@ -225,16 +231,21 @@ class TestRainbowSearchAgainstOracle:
         assert oracle_rainbow_factor_exists(one_odd_family(4, 2))
 
 
+# Nodes the one-odd searches took before orbit pruning; they must not rise.
+ONE_ODD_NODES = {(6, 2): 11, (7, 2): 11, (8, 2): 14, (6, 3): 13}
+
+
 class TestAdversarialFamilies:
     @pytest.mark.parametrize("n, k", [(6, 2), (7, 2), (8, 2), (6, 3)])
     def test_one_odd_family_found_within_small_budget(self, n, k):
         family = one_odd_family(n, k)
         result = rainbow_k_factor_search(family, budget=10_000)
         assert result.status == FOUND
+        assert result.nodes_visited <= ONE_ODD_NODES[n, k]
         result.factor(n, k).validate(family)
         construct_rainbow_factor_extremal(family).validate(family)
 
-    @pytest.mark.parametrize("n", [6, 7, 8, 9, 10])
+    @pytest.mark.parametrize("n", [6, 7, 8, 9, 10, 11])
     def test_cyclic_latin_square_has_transversal_iff_odd(self, n):
         members = cyclic_latin(n)
         result = rainbow_perfect_matching_search(members)
@@ -243,6 +254,189 @@ class TestAdversarialFamilies:
             result.factor(n, 1).validate(GraphFamily(n, 1, tuple(members)))
         else:
             assert result.nodes_visited > 1  # decided by the backtracking, not the root
+
+    def test_cyclic_order_12_absent_within_100k_nodes(self):
+        members = cyclic_latin(12)
+        result = rainbow_perfect_matching_search(members, budget=100_000)
+        assert result.status == ABSENT
+        assert result.orbit_skips > 0 and result.automorphisms > 0
+        short = rainbow_perfect_matching_search(members, budget=1_000)
+        assert short.status == BUDGET_EXHAUSTED and short.assignment is None
+
+    def test_counters_repeat_exactly(self):
+        runs = [rainbow_perfect_matching_search(cyclic_latin(8)) for _ in range(2)]
+        assert runs[0] == runs[1]
+        assert runs[0].orbit_skips > 0 and runs[0].automorphisms > 0
+
+
+GROUP_TABLES = {
+    2: [lambda x, y: (x + y) % 2],
+    3: [lambda x, y: (x + y) % 3],
+    4: [lambda x, y: (x + y) % 4, lambda x, y: x ^ y],
+    5: [lambda x, y: (x + y) % 5],
+}
+
+
+def from_cells(n: int, cells) -> BipartiteGraph:
+    """The graph whose edges are the 0-based cells (x, y)."""
+    return BipartiteGraph.from_edges(n, [(x + 1, n + y + 1) for x, y in cells])
+
+
+def cells(g: BipartiteGraph) -> list[tuple[int, int]]:
+    return [(x, y) for x in range(g.n) for y in _bits(g.x_rows[x])]
+
+
+def symmetric_family(rng, n: int, k: int, kind: str) -> GraphFamily:
+    """A family with a nontrivial automorphism by construction.
+
+    - "isotope": the colour classes of a group table under random row,
+      column and symbol permutations, each class k times;
+    - "shift": the orbits of k random members under (x, y) -> (x + 1, y + a);
+    - "transpose": random members beside their transposes, and members equal
+      to their own transpose;
+    - "invariant": members that are unions of edge orbits under one random
+      map, either (x, y) -> (sx[x], sy[y]) or (x, y) -> (sx[y], sx[x]).
+    """
+    if kind == "isotope":
+        table = GROUP_TABLES[n][int(rng.integers(len(GROUP_TABLES[n])))]
+        r, c, s = (rng.permutation(n).tolist() for _ in range(3))
+        squares = [
+            from_cells(n, [(r[x], c[y]) for x in range(n) for y in range(n) if s[table(x, y)] == i])
+            for i in range(n)
+        ]
+        return GraphFamily(n, k, tuple(squares * k))
+    if kind == "invariant":
+        transpose = rng.random() < 0.5
+        sx = rng.permutation(n).tolist()
+        sy = sx if transpose else rng.permutation(n).tolist()
+        members = []
+        for _ in range(k * n):
+            edges: set[tuple[int, int]] = set()
+            for _ in range(int(rng.integers(1, 4))):
+                e = (int(rng.integers(n)), int(rng.integers(n)))
+                while e not in edges:
+                    edges.add(e)
+                    e = (sx[e[1]], sx[e[0]]) if transpose else (sx[e[0]], sy[e[1]])
+            members.append(from_cells(n, edges))
+        return GraphFamily(n, k, tuple(members))
+    members = []
+    while len(members) < k * n:
+        if kind == "shift":
+            g = random_graph(rng, n, 0.15 + 0.5 * float(rng.random()))
+            a = int(rng.integers(n))
+            members += [
+                from_cells(n, [((x + i) % n, (y + a * i) % n) for x, y in cells(g)])
+                for i in range(n)
+            ]
+        else:
+            g = random_graph(rng, n, 0.1 + 0.4 * float(rng.random()))
+            t = from_cells(n, [(y, x) for x, y in cells(g)])
+            pair = len(members) + 2 <= k * n and rng.random() < 0.25
+            members += [g, t] if pair else [from_cells(n, cells(g) + cells(t))]
+    return GraphFamily(n, k, tuple(members))
+
+
+def family_symmetry(family: GraphFamily) -> _Symmetry:
+    """The search's automorphism finder over the family's classes."""
+    count = Counter(g.x_rows for g in family.members)
+    rows = list(count)
+    cols = [BipartiteGraph(family.n, r).y_cols for r in rows]
+    return _Symmetry(family.n, rows, cols, [count[r] for r in rows])
+
+
+class TestOrbitPruning:
+    KINDS = ("isotope", "shift", "transpose", "invariant")
+
+    def test_agrees_with_oracle_on_symmetric_families(self, rng):
+        pruned = Counter()
+        for trial in range(800):
+            kind = self.KINDS[trial % 4]
+            n = int(rng.integers(2, 6))
+            k = int(rng.integers(1, 3)) if n <= 4 else 1
+            family = symmetric_family(rng, n, k, kind)
+            result = rainbow_k_factor_search(family)
+            assert (result.status == FOUND) == oracle_rainbow_factor_exists(family), (kind, family)
+            if result.status == FOUND:
+                result.factor(n, k).validate(family)
+            if result.orbit_skips:
+                assert result.automorphisms > 0
+                pruned[kind, result.status] += 1
+        # pruning is common, reaches every kind, and also happens on the way
+        # to a factor, where an unsound skip would lose it
+        assert sum(pruned.values()) >= 60, pruned
+        assert {kind for kind, _status in pruned} == set(self.KINDS), pruned
+        assert sum(pruned[kind, FOUND] for kind in self.KINDS) >= 1, pruned
+
+    @pytest.mark.parametrize(
+        "n, k, rows",
+        [
+            (3, 2, [(7, 7, 7), (6, 6, 6), (7, 7, 7), (1, 1, 1), (6, 6, 6), (1, 1, 1)]),
+            (3, 2, [(1, 0, 4), (0, 4, 2), (2, 1, 4), (4, 6, 0), (0, 2, 3), (5, 0, 1)]),
+            (4, 1, [(0, 2, 0, 8), (12, 8, 1, 3), (0, 12, 10, 6), (2, 13, 10, 14)]),
+        ],
+    )
+    def test_factor_found_after_skipping_a_failed_orbit(self, n, k, rows):
+        # families drawn by symmetric_family where a root branch fails, its
+        # images are skipped, and a later branch holds the factor
+        family = GraphFamily(n, k, tuple(BipartiteGraph(n, r) for r in rows))
+        result = rainbow_k_factor_search(family)
+        assert result.status == FOUND and result.orbit_skips > 0
+        result.factor(n, k).validate(family)
+        assert oracle_rainbow_factor_exists(family)
+
+    def test_finder_returns_exactly_the_brute_force_maps(self, rng):
+        transposed = 0
+        for trial in range(60):
+            n = int(rng.integers(2, 4))
+            family = symmetric_family(rng, n, 1, self.KINDS[trial % 4])
+            symmetry = family_symmetry(family)
+            rows = symmetry.class_rows
+            placements = [(c, x, y) for c, r in enumerate(rows) for x, y in cells(BipartiteGraph(n, r))]
+            if not placements:
+                continue
+            src = placements[int(rng.integers(len(placements)))]
+            brute = brute_force_automorphisms(family.members)
+            reachable = set()
+            for transpose, sx, sy in brute:
+                c, x, y = src
+                edge = (sy[y], sx[x]) if transpose else (sx[x], sy[y])
+                image = [0] * n
+                for cx, cy in cells(BipartiteGraph(n, rows[c])):
+                    ix, iy = (sy[cy], sx[cx]) if transpose else (sx[cx], sy[cy])
+                    image[ix] |= 1 << iy
+                reachable.add((rows.index(tuple(image)), *edge))
+            for dst in placements:
+                g = symmetry.map_between([], (src,), (dst,), transpose=True)
+                assert (g is not None) == (dst in reachable), (family, src, dst)
+                if g is not None:
+                    transpose, sx, sy, _pc = g
+                    assert (transpose, tuple(sx), tuple(sy)) in brute
+                    assert _image(g, src) == dst
+                    transposed += transpose
+        assert transposed >= 10
+
+    def test_verification_rejects_maps_that_break_classes_or_counts(self):
+        # classes {(0, 0)} (three members) and {(1, 1)} (one member)
+        a, b = BipartiteGraph(2, (1, 0)), BipartiteGraph(2, (0, 2))
+        symmetry = family_symmetry(GraphFamily(2, 2, (a, a, a, b)))
+
+        def verified(sx, sy):
+            return symmetry._verified(0, [[1 << v for v in sx], [1 << v for v in sy], []])
+
+        assert verified((0, 1), (0, 1)) == (0, [0, 1], [0, 1], [0, 1])
+        assert verified((1, 0), (1, 0)) is None  # {(0, 0)} onto {(1, 1)}: counts differ
+        assert verified((1, 0), (0, 1)) is None  # {(0, 0)} onto {(1, 0)}: not a class
+
+    def test_family_without_symmetry_finds_no_automorphism(self):
+        # the cyclic square of order 4 with three edges added: no transversal,
+        # every root branch fails, and only the identity maps it to itself
+        rows = [(8, 4, 2, 9), (1, 8, 4, 3), (2, 1, 8, 4), (4, 2, 1, 8)]
+        members = [BipartiteGraph(4, r) for r in rows]
+        assert brute_force_automorphisms(members) == [(0, (0, 1, 2, 3), (0, 1, 2, 3))]
+        result = rainbow_perfect_matching_search(members)
+        assert result.status == ABSENT and result.nodes_visited > 4
+        assert result.automorphisms == 0 and result.orbit_skips == 0
+        assert not oracle_rainbow_factor_exists(GraphFamily(4, 1, tuple(members)))
 
 
 class TestRainbowPerfectMatching:

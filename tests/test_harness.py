@@ -147,6 +147,7 @@ class TestCampaigns:
         assert payload["campaign"] == "extremal-absence"
         assert payload["summary"]["passed"] == report.passed == 3
         assert payload["summary"]["failed"] == 0
+        assert {"nodes", "orbit_skips", "automorphisms"} <= set(payload["cases"][0]["values"])
 
     @pytest.mark.parametrize(
         "campaign, name",
@@ -263,6 +264,26 @@ class TestCLI:
         assert self.run("find-rainbow-factor", "--in", str(src)) == 0
         out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert out["status"] == "absent"
+
+    def test_find_rainbow_factor_reports_orbit_counters(self, tmp_path, capsys):
+        # the cyclic Latin square of order 6: no transversal, and its
+        # translations make every first-class edge equivalent
+        n = 6
+        members = tuple(
+            BipartiteGraph(n, tuple(sum(1 << y for y in range(n) if (x + y) % n == i) for x in range(n)))
+            for i in range(n)
+        )
+        src = tmp_path / "fam.txt"
+        fileio.write_family(src, GraphFamily(n, 1, members))
+        outputs = []
+        for _ in range(2):
+            assert self.run("find-rainbow-factor", "--in", str(src), "--search") == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        search = json.loads(outputs[0].strip().splitlines()[-1])["search"]
+        assert search["status"] == "absent"
+        assert search["orbit_skips"] > 0 and search["automorphisms"] > 0
+        assert set(search) == {"status", "nodes", "orbit_skips", "automorphisms"}
 
     def test_margin_grid_csv(self, tmp_path):
         out = tmp_path / "grid.csv"
