@@ -3,14 +3,18 @@
 Power iteration runs on the n x n Gram matrix B^T B of the biadjacency
 matrix B rather than on the 2n x 2n adjacency matrix: bipartite spectra are
 symmetric about 0, and rho(G)^2 = rho(B^T B), whose blocks (one per
-connected component) are primitive.  Each block stops on a certified
-bracket, the Rayleigh quotient below and the Collatz-Wielandt bound above.
-Small blocks start from a dense eigensolver's Perron vector, so their
-bracket usually closes on the first product; the bracket holds for any
-positive start, so the dense start changes the cost, never the guarantee.
-Join-type and extremal graphs additionally admit a 4x4 equitable quotient
-matrix whose characteristic polynomial is biquadratic, giving an exact
-closed form.
+connected component) are primitive.  The Gram matrix is never formed: each
+product is applied through B as B^T (B v), two n x s matrix-vector
+products per step instead of an O(n^3) matrix product up front (Golub and
+Van Loan, Matrix Computations, secs. 8.6 and 10.4).  Each block stops on a
+certified bracket, the Rayleigh quotient below and the Collatz-Wielandt
+bound above.  Small blocks start from a dense eigensolver's Perron vector,
+so their bracket usually closes on the first product; the bracket holds for
+any positive start, so the dense start changes the cost, never the
+guarantee.  Join-type and extremal graphs additionally admit a 4x4
+equitable quotient matrix whose characteristic polynomial x^4 - c2 x^2 + c0
+has integer coefficients (biquadratic_coeffs), giving a closed form for rho
+and an exact verdict on rho(join) < rho(extremal).
 """
 
 from __future__ import annotations
@@ -32,14 +36,16 @@ from .graphs import (
 
 DEFAULT_TOL = 1e-10
 MAX_ITERATIONS = 100_000
-METHOD_AGREEMENT_TOL = 1e-7
 
 # Blocks of at most this many Y-vertices start power iteration from the
-# Perron vector of a dense eigh.  Measured on a shared 2-vCPU Xeon with
-# OpenBLAS on one thread, eigh takes about 12 us at size 8, 29 us at 16,
-# 57 us at 24 and 325 us at 64, while the loop from all-ones takes 50-75 us
-# on a random half-dense block of any of these sizes.  The crossover lies
-# near 24; the limit sits below it, so large blocks never pay for eigh.
+# Perron vector of a dense eigh of their s x s Gram matrix, the only Gram
+# matrix ever formed.  Measured for the matrix-free loop on a shared 2-vCPU
+# Xeon with OpenBLAS on one thread, on a random half-dense s x s block:
+# forming the Gram matrix plus eigh takes about 20 us at s = 8, 51 us at 16,
+# 65-99 us at 24, 145 us at 32 and 510 us at 64; one product B^T (B v)
+# takes 5-10 us, and the loop from all-ones 70-180 us (21 products at 8,
+# 9-13 at 16-64).  The crossover lies between 24 and 32; the limit sits
+# below it, so large blocks never pay for eigh.
 _DENSE_START_MAX = 16
 
 
@@ -73,56 +79,55 @@ class SpectralReport:
 def spectral_radius(
     g: BipartiteGraph, tol: float | None = None, max_iterations: int = MAX_ITERATIONS
 ) -> SpectralReport:
-    """Spectral radius from power iteration on the Gram matrix M = B^T B.
+    """Spectral radius from matrix-free power iteration on M = B^T B.
 
     B is the n x n biadjacency matrix (rows X, columns Y), so rho(G)^2 =
     rho(M).  M splits into one block per connected component of the
     non-isolated Y-vertices; each block is nonnegative with a positive
-    diagonal, hence primitive.  A block of at most _DENSE_START_MAX
-    Y-vertices is iterated from |top eigenvector of eigh(block)|, or from
-    the all-ones vector if that has an entry <= 0; a larger block from the
-    all-ones vector.  For any positive iterate v the Rayleigh quotient
-    v.Mv / v.v is a lower bound on the block's radius (M is symmetric) and
-    max_i (Mv)_i / v_i an upper bound (Collatz-Wielandt), so the start
-    decides only how many products a block takes; a block stops once the
-    square roots of the two bounds differ by less than tol.  A block of one
-    Y-vertex is a star and has rho = sqrt(M_jj).
+    diagonal, hence primitive.  A block is never formed: with Bb the block's
+    columns of B, one product is u = Bb v, w = Bb^T u, so it costs two
+    n x s matrix-vector products and no s x s matrix.  A block of at most
+    _DENSE_START_MAX Y-vertices forms its small Gram matrix Bb^T Bb once,
+    only to start from |top eigenvector of eigh| (or from the all-ones
+    vector if that has an entry <= 0); a larger block starts from all-ones.
+    For any positive iterate v the Rayleigh quotient u.u / v.v = v.Mv / v.v
+    is a lower bound on the block's radius (M is symmetric) and
+    max_i w_i / v_i an upper bound (Collatz-Wielandt), so the start decides
+    only how many products a block takes; a block stops once the square
+    roots of the two bounds differ by less than tol.  A block of one
+    Y-vertex is a star and has rho = sqrt(its degree).
 
-    Reports value = the certified lower end (it never overshoots rho),
-    residual = the certified bracket width in rho units, and iterations =
-    the matrix-vector products over all blocks.  Raises ConvergenceError
-    once max_iterations products have not closed every bracket.
+    Reports value = the certified lower end (it overshoots rho only by
+    float64 rounding; see bracket_contains), residual = the certified bracket width in rho units, and iterations =
+    the products v -> w over all blocks.  Raises ConvergenceError once
+    max_iterations products have not closed every bracket.
     """
     if tol is None:
         tol = default_tolerance()
     if not tol > 0:
         raise GraphError(f"tolerance must be positive, got {tol}")
     n = g.n
-    blocks = _y_components(g.x_rows)
-    # order Y by block, so that each block of M is a contiguous diagonal slice
-    order = [j for block in blocks for j in _bits(block)]
-    b = _unpack(g.x_rows, n)[:, order].astype(np.float64)
-    m = b.T @ b
+    b = _biadjacency(g.x_rows, n)
     lo = hi = 0.0
     iterations = 0
-    start = 0
-    for block in blocks:
+    for block in _y_components(g.x_rows):
         size = block.bit_count()
-        mc = m[start : start + size, start : start + size]
-        start += size
         if size == 1:  # one Y-vertex: a star, rho^2 = its degree
-            lo, hi = max(lo, mc[0, 0]), max(hi, mc[0, 0])
+            degree = b[:, block.bit_length() - 1].sum()
+            lo, hi = max(lo, degree), max(hi, degree)
             continue
+        bb = b if size == n else b[:, list(_bits(block))]
         v = np.ones(size)
         if size <= _DENSE_START_MAX:
-            perron = np.abs(np.linalg.eigh(mc)[1][:, -1])
+            perron = np.abs(np.linalg.eigh(bb.T @ bb)[1][:, -1])
             if (perron > 0).all():
                 v = perron
         gap = math.inf
         for _ in range(max_iterations - iterations):
             iterations += 1
-            w = mc @ v
-            c_lo = (v @ w) / (v @ v)
+            u = bb @ v
+            w = u @ bb
+            c_lo = (u @ u) / (v @ v)
             # builtin max over a list: on the few-vertex blocks of typical
             # calls a numpy reduction costs more than the product itself
             c_hi = max((w / v).tolist())
@@ -144,11 +149,19 @@ def spectral_radius(
     )
 
 
-def _unpack(masks, n: int) -> np.ndarray:
-    """0/1 matrix with one row per bitset: entry (r, j) is bit j of masks[r]."""
+# Row i holds the bits of byte value i, least significant first, as float64.
+_BYTE_BITS = np.array([[(byte >> j) & 1 for j in range(8)] for byte in range(256)], np.float64)
+
+
+def _biadjacency(x_rows: tuple[int, ...], n: int) -> np.ndarray:
+    """float64 0/1 matrix B: entry (i, j) is bit j of x_rows[i].
+
+    Each row is packed into little-endian bytes, and one lookup in
+    _BYTE_BITS turns every byte into its 8 entries.
+    """
     width = (n + 7) // 8
-    packed = np.frombuffer(b"".join(mask.to_bytes(width, "little") for mask in masks), np.uint8)
-    return np.unpackbits(packed.reshape(-1, width), axis=1, count=n, bitorder="little")
+    packed = np.frombuffer(b"".join(row.to_bytes(width, "little") for row in x_rows), np.uint8)
+    return _BYTE_BITS[packed].reshape(len(x_rows), 8 * width)[:, :n]
 
 
 def _y_components(x_rows: tuple[int, ...]) -> list[int]:
@@ -206,18 +219,24 @@ def quotient_matrix(params: ExtremalParams) -> QuotientMatrix4:
     return QuotientMatrix4(entries, (p - 1, n - p + 1, b, p - k + 1))
 
 
+def biquadratic_coeffs(n: int, k: int, p: int) -> tuple[int, int]:
+    """Exact (c2, c0) of the characteristic polynomial x^4 - c2 x^2 + c0 of
+    build_join's quotient matrix; p = k gives the extremal graph B_{n,k}:
+    c2 = n(n+k-p-1) + (p-1)(p-k+1), c0 = (n+k-p-1)(p-k+1)(n-p+1)(p-1)."""
+    b = n + k - p - 1
+    return n * b + (p - 1) * (p - k + 1), b * (p - k + 1) * (n - p + 1) * (p - 1)
+
+
 def extremal_charpoly(n: int, k: int, x: float) -> float:
     """Characteristic polynomial of the extremal graph's quotient matrix:
     x^4 - [n(n-1) + (k-1)] x^2 + (n-1)(n-k+1)(k-1)."""
-    return x**4 - (n * (n - 1) + (k - 1)) * x**2 + (n - 1) * (n - k + 1) * (k - 1)
+    c2, c0 = biquadratic_coeffs(n, k, k)
+    return x**4 - c2 * x**2 + c0
 
 
 def join_charpoly(params: ExtremalParams, x: float) -> float:
-    """Characteristic polynomial of the join graph's quotient matrix:
-    x^4 - [n(n+k-p-1) + (p-1)(p-k+1)] x^2 + (n+k-p-1)(p-k+1)(n-p+1)(p-1)."""
-    n, k, p = params.n, params.k, params.p
-    c2 = n * (n + k - p - 1) + (p - 1) * (p - k + 1)
-    c0 = (n + k - p - 1) * (p - k + 1) * (n - p + 1) * (p - 1)
+    """Characteristic polynomial of the join graph's quotient matrix."""
+    c2, c0 = biquadratic_coeffs(params.n, params.k, params.p)
     return x**4 - c2 * x**2 + c0
 
 
@@ -253,7 +272,7 @@ def _bisect_biquadratic(c2: float, c0: float, steps: int = 100) -> float:
 
 def quotient_spectral_radius(params: ExtremalParams, method: str = "closed") -> SpectralReport:
     """Spectral radius of build_join(params) from its quotient matrix."""
-    c2, c0 = quotient_matrix(params).char_poly_coeffs()
+    c2, c0 = biquadratic_coeffs(params.n, params.k, params.p)
     if method == "closed":
         value = largest_biquadratic_root(c2, c0)
         bisected = _bisect_biquadratic(c2, c0)
@@ -266,9 +285,23 @@ def quotient_spectral_radius(params: ExtremalParams, method: str = "closed") -> 
 
 def extremal_spectral_radius(n: int, k: int) -> float:
     """Closed-form rho of the extremal graph."""
-    c2 = n * (n - 1) + (k - 1)
-    c0 = (n - 1) * (n - k + 1) * (k - 1)
-    return largest_biquadratic_root(c2, c0)
+    return largest_biquadratic_root(*biquadratic_coeffs(n, k, k))
+
+
+def bracket_contains(report: SpectralReport, rho: float, n: int) -> bool:
+    """Whether rho lies in the certified bracket [value, value + residual]
+    of a power-iteration report on a graph of half-order n.
+
+    The bracket's ends are float64 evaluations of sums of up to n terms, so
+    each may be off by their a-priori rounding bound, at most n * eps * rho
+    (Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.1);
+    the bracket is widened by exactly that slack and nothing more.
+    Measured with OpenBLAS, the overshoot of value above the exact rho of
+    join graphs grows with n: up to 3 ulps of rho at n = 100, 39 at
+    n = 1000 and 81 at n = 2000, so no fixed few-ulp slack would do.
+    """
+    slack = n * np.finfo(float).eps * rho
+    return report.value - slack <= rho <= report.value + report.residual + slack
 
 
 @dataclass(frozen=True)
@@ -279,8 +312,8 @@ class SpectralMargin:
     rho_extremal: float
     rho_join: float
     margin: float
-    holds: bool
-    sign_value: float  # (P_extremal - P_join) at x = sqrt(n(n-1)); expected < 0
+    holds: bool  # rho_join < rho_extremal, decided exactly
+    sign_value: int  # (P_extremal - P_join) at x = sqrt(n(n-1)), exact; expected < 0
     sign_ok: bool
 
 
@@ -289,34 +322,51 @@ def join_margin(params: ExtremalParams, tol: float | None = None) -> SpectralMar
     form and power iteration, plus the sign of the polynomial difference at
     sqrt(n(n-1)).
 
+    The verdict and the sign are exact integer arithmetic on the
+    biquadratic coefficients; rho^2 = (c2 + sqrt(c2^2 - 4 c0)) / 2, so
+    rho_J < rho_B exactly when sqrt(d_B) - sqrt(d_J) > c2_J - c2_B.
     Requires p >= k+1 (p = k compares the extremal graph with itself).
-    Raises InconsistencyError if the two rho methods disagree beyond 1e-7.
+    Raises InconsistencyError if a closed form lies outside the certified
+    bracket of power iteration on its graph (see bracket_contains).
     """
     n, k, p = params.n, params.k, params.p
     if p < k + 1:
         raise GraphError(f"margin check needs p >= k+1, got p = {p}")
-    rho_b_closed = extremal_spectral_radius(n, k)
-    rho_j_closed = largest_biquadratic_root(*quotient_matrix(params).char_poly_coeffs())
-    rho_b_power = spectral_radius(build_extremal(n, k), tol=tol).value
-    rho_j_power = spectral_radius(build_join(params), tol=tol).value
-    for closed, power, which in (
-        (rho_b_closed, rho_b_power, "extremal"),
-        (rho_j_closed, rho_j_power, "join"),
+    c2_b, c0_b = biquadratic_coeffs(n, k, k)
+    c2_j, c0_j = biquadratic_coeffs(n, k, p)
+    rho_b = largest_biquadratic_root(c2_b, c0_b)
+    rho_j = largest_biquadratic_root(c2_j, c0_j)
+    for closed, graph, which in (
+        (rho_b, build_extremal(n, k), "extremal"),
+        (rho_j, build_join(params), "join"),
     ):
-        if abs(closed - power) > METHOD_AGREEMENT_TOL:
+        report = spectral_radius(graph, tol=tol)
+        if not bracket_contains(report, closed, n):
             raise InconsistencyError(
-                f"{which} rho: closed form {closed!r} vs power iteration {power!r} "
-                f"differ beyond {METHOD_AGREEMENT_TOL}"
+                f"{which} rho: closed form {closed!r} lies outside the power-iteration "
+                f"bracket [{report.value!r}, {report.value + report.residual!r}]"
             )
-    margin = rho_b_closed - rho_j_closed
-    x0 = math.sqrt(n * (n - 1))
-    sign_value = extremal_charpoly(n, k, x0) - join_charpoly(params, x0)
+    holds = _sqrt_diff_sign(c2_b * c2_b - 4 * c0_b, c2_j * c2_j - 4 * c0_j, c2_j - c2_b) > 0
+    sign_value = (c2_j - c2_b) * n * (n - 1) + (c0_b - c0_j)
     return SpectralMargin(
         params=params,
-        rho_extremal=rho_b_closed,
-        rho_join=rho_j_closed,
-        margin=margin,
-        holds=margin > 1e-9,
+        rho_extremal=rho_b,
+        rho_join=rho_j,
+        margin=rho_b - rho_j,
+        holds=holds,
         sign_value=sign_value,
-        sign_ok=sign_value < 0.0,
+        sign_ok=sign_value < 0,
     )
+
+
+def _sqrt_diff_sign(a: int, b: int, w: int) -> int:
+    """Exact sign (-1, 0 or 1) of sqrt(a) - sqrt(b) - w, for integers a, b >= 0."""
+    if w < 0 and b < w * w:  # sqrt(b) + w < 0 <= sqrt(a)
+        return 1
+    # Both sides of sqrt(a) vs sqrt(b) + w are >= 0: square them, leaving
+    # lhs = a - b - w^2 against 2 w sqrt(b), and square again under sign guards.
+    lhs, rhs_sq = a - b - w * w, 4 * w * w * b
+    if w >= 0:
+        return -1 if lhs < 0 else (lhs * lhs > rhs_sq) - (lhs * lhs < rhs_sq)
+    # w < 0 and b >= w^2 > 0, so -2 w sqrt(b) > 0
+    return 1 if lhs >= 0 else (rhs_sq > lhs * lhs) - (rhs_sq < lhs * lhs)

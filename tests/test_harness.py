@@ -131,6 +131,26 @@ class TestCampaigns:
             assert report.failed == 0, f"{name} failed cases"
             assert report.cases
 
+    def test_spectral_consistency_requires_closed_form_in_bracket(self, monkeypatch):
+        # a power value 1e-9 off the closed form passed the old 1e-7
+        # agreement; the case fails once the closed form leaves the bracket
+        import rfl.harness
+        from rfl.spectral import SpectralReport
+
+        real = rfl.harness.spectral_radius
+        config = ExperimentConfig(n_range=(4, 6), k_range=(2, 2))
+        report = run_campaign("spectral-consistency", config)
+        assert report.failed == 0
+        assert all(c["values"]["residual"] < 1e-10 for c in report.cases)
+
+        def shifted(g, tol=None):
+            r = real(g, tol=tol)
+            return SpectralReport(r.value + 1e-9, r.method, r.iterations, r.residual)
+
+        monkeypatch.setattr(rfl.harness, "spectral_radius", shifted)
+        report = run_campaign("spectral-consistency", config)
+        assert report.passed == 0 and report.failed == len(report.cases) == 3
+
     def test_report_deterministic_modulo_wall_time(self):
         config = ExperimentConfig(seed=11, trials=6, n_range=(2, 5))
         a = run_campaign("shift-properties", config).to_dict()

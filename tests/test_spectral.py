@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -14,6 +16,12 @@ from rfl.graphs import (
 from rfl.spectral import (
     _DENSE_START_MAX,
     ConvergenceError,
+    InconsistencyError,
+    SpectralReport,
+    _sqrt_diff_sign,
+    _y_components,
+    biquadratic_coeffs,
+    bracket_contains,
     extremal_charpoly,
     extremal_spectral_radius,
     join_charpoly,
@@ -174,6 +182,49 @@ class TestPowerIteration:
         assert rho - 1e-12 <= report.value <= rho + 1e-12
         assert report.value == pytest.approx(dense_rho(g), abs=1e-10)
 
+    def test_two_large_components_beside_isolated_vertices(self):
+        # a path block of 20 Y-vertices, then a denser block of 25 with the
+        # larger radius, both above the dense-start limit; X-vertices 46, 47
+        # and Y-vertices 46, 47 are isolated
+        n, m = 47, 20
+        edges = [(i, n + i) for i in range(1, m + 1)] + [(i + 1, n + i) for i in range(1, m)]
+        edges += [
+            (x, n + y)
+            for x in range(m + 1, 46)
+            for y in range(m + 1, 46)
+            if (x * 7 + y * 3) % 5 < 2 or x == y
+        ]
+        g = BipartiteGraph.from_edges(n, edges)
+        blocks = _y_components(g.x_rows)
+        assert [b.bit_count() for b in blocks] == [m, 25] and m > _DENSE_START_MAX
+        report = spectral_radius(g)
+        assert report.value > 2.0  # the later block's radius, not the path's
+        assert_bracket_contains(g, report)
+
+    @pytest.mark.parametrize(
+        "n, k, p, iterations",
+        [(100, 3, 3, 4), (300, 4, 4, 3), (1000, 2, 2, 3), (100, 3, 33, 12), (300, 4, 100, 12)],
+    )
+    def test_iteration_counts_pinned(self, n, k, p, iterations):
+        # the benchmark's work count sums these; a change to the product or
+        # the stopping rule must not move them unseen (p = k: the extremal graph)
+        g = build_extremal(n, k) if p == k else build_join(ExtremalParams(n, k, p))
+        assert spectral_radius(g).iterations == iterations
+
+    def test_no_gram_matrix_of_a_large_block(self):
+        # B alone takes n^2 float64 entries; a formed n x n Gram matrix
+        # B^T B would double the peak
+        n = 600
+        g = build_extremal(n, 2)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            spectral_radius(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n * n * 8
+
     def test_part_swap_keeps_radius(self, rng):
         # M = B^T B is one-sided; the transposed graph iterates on B B^T
         for _ in range(60):
@@ -292,6 +343,21 @@ class TestQuotientMatrix:
 
 
 class TestCharPolys:
+    def test_biquadratic_coeffs_match_quotient_matrix(self):
+        # the integers against the 4x4 quotient's trace and determinant
+        for k in (2, 3, 4):
+            for n in range(2 * k, 13):
+                for p in range(k, n):
+                    c2, c0 = biquadratic_coeffs(n, k, p)
+                    assert isinstance(c2, int) and isinstance(c0, int)
+                    q2, q0 = quotient_matrix(ExtremalParams(n, k, p)).char_poly_coeffs()
+                    assert abs(q2 - c2) < 1e-6 and abs(q0 - c0) < 1e-6 * max(1, c0)
+
+    def test_biquadratic_coeffs_at_p_k_are_extremal(self):
+        assert biquadratic_coeffs(4, 2, 2) == (13, 9)
+        for n, k in [(6, 3), (9, 4), (1000, 5)]:
+            assert biquadratic_coeffs(n, k, k) == (n * (n - 1) + k - 1, (n - 1) * (n - k + 1) * (k - 1))
+
     def test_extremal_constant_term(self):
         assert extremal_charpoly(4, 2, 0.0) == 9
 
@@ -377,6 +443,53 @@ class TestJoinMargin:
                 m = join_margin(ExtremalParams(n, k, p))
                 assert m.holds and m.margin > 1e-9
                 assert m.sign_ok and m.sign_value < 0
+
+    def test_sign_value_is_exact_integer(self):
+        for n, k, p in [(4, 2, 3), (10, 4, 7), (40, 3, 13)]:
+            (c2b, c0b), (c2j, c0j) = biquadratic_coeffs(n, k, k), biquadratic_coeffs(n, k, p)
+            x2 = n * (n - 1)  # P_B - P_J at x = sqrt(n(n-1)), in integers
+            m = join_margin(ExtremalParams(n, k, p))
+            assert type(m.sign_value) is int
+            assert m.sign_value == (x2 * x2 - c2b * x2 + c0b) - (x2 * x2 - c2j * x2 + c0j)
+
+    def test_closed_form_outside_bracket_raises(self, monkeypatch):
+        # a power value 1e-9 below the closed form passed the old 1e-7
+        # agreement; it lies outside the certified bracket
+        import rfl.spectral
+
+        real = rfl.spectral.spectral_radius
+
+        def shifted(g, tol=None):
+            r = real(g, tol=tol)
+            return SpectralReport(r.value - 1e-9, r.method, r.iterations, r.residual)
+
+        monkeypatch.setattr(rfl.spectral, "spectral_radius", shifted)
+        with pytest.raises(InconsistencyError):
+            join_margin(ExtremalParams(6, 3, 4))
+
+    def test_bracket_contains(self):
+        report = SpectralReport(10.0, "power-iteration", 1, 1e-10)
+        eps = np.finfo(float).eps
+        assert bracket_contains(report, 10.0, 5)
+        assert bracket_contains(report, 10.0 + 1e-10, 5)
+        assert bracket_contains(report, 10.0 - 5 * eps * 10.0, 5)
+        assert not bracket_contains(report, 10.0 - 1e-12, 5)
+        assert not bracket_contains(report, 10.0 + 1.01e-10 + 1e-12, 5)
+
+    def test_sqrt_diff_sign_against_high_precision(self, rng):
+        # perfect squares make exact ties (sign 0) frequent
+        squares = [i * i for i in range(30)]
+        seen = set()
+        for _ in range(4000):
+            a, b = (int(rng.choice(squares)) if rng.random() < 0.7 else int(rng.integers(0, 900)) for _ in "ab")
+            w = int(rng.integers(-30, 31))
+            with localcontext() as ctx:
+                ctx.prec = 80
+                exact = Decimal(a).sqrt() - Decimal(b).sqrt() - w
+            expected = (exact > Decimal("1e-60")) - (exact < Decimal("-1e-60"))
+            assert _sqrt_diff_sign(a, b, w) == expected, (a, b, w)
+            seen.add((expected, w < 0))
+        assert seen == {(s, neg) for s in (-1, 0, 1) for neg in (False, True)}
 
     def test_extremal_exceeds_sqrt_n_n_minus_1(self):
         # the extremal graph strictly contains the complete (n)x(n-1) block
