@@ -3,24 +3,28 @@
 Power iteration runs on the n x n Gram matrix B^T B of the biadjacency
 matrix B rather than on the 2n x 2n adjacency matrix: bipartite spectra are
 symmetric about 0, and rho(G)^2 = rho(B^T B), whose blocks (one per
-connected component) are primitive.  The Gram matrix is never formed: each
-product is applied through B as B^T (B v), two n x s matrix-vector
-products per step instead of an O(n^3) matrix product up front (Golub and
-Van Loan, Matrix Computations, secs. 8.6 and 10.4).  Each block stops on a
-certified bracket, the Rayleigh quotient below and the Collatz-Wielandt
-bound above.  Small blocks start from a dense eigensolver's Perron vector,
-so their bracket usually closes on the first product; the bracket holds for
-any positive start, so the dense start changes the cost, never the
-guarantee.  Join-type and extremal graphs additionally admit a 4x4
-equitable quotient matrix whose characteristic polynomial x^4 - c2 x^2 + c0
-has integer coefficients (biquadratic_coeffs), giving a closed form for rho
-and an exact verdict on rho(join) < rho(extremal).
+connected component) are primitive.  A block of at most _DENSE_START_MAX
+Y-vertices forms its small s x s Gram matrix, starts from the Perron vector
+of a dense eigensolver on it, and takes each product as one s x s
+matrix-vector product on that matrix; its bracket usually closes on the
+first product.  A larger block is never formed: each product is applied
+through B as B^T (B v), two n x s matrix-vector products per step instead
+of an O(n^3) matrix product up front (Golub and Van Loan, Matrix
+Computations, secs. 8.6 and 10.4).  Each block stops on a certified
+bracket, the Rayleigh quotient below and the Collatz-Wielandt bound above;
+the bracket holds for any positive start, so the dense start changes the
+cost, never the guarantee.  Join-type and extremal graphs additionally
+admit a 4x4 equitable quotient matrix whose characteristic polynomial
+x^4 - c2 x^2 + c0 has integer coefficients (biquadratic_coeffs), giving a
+closed form for rho, bracketed by exact integer sign checks, and an exact
+verdict on rho(join) < rho(extremal).
 """
 
 from __future__ import annotations
 
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,15 +41,17 @@ from .graphs import (
 DEFAULT_TOL = 1e-10
 MAX_ITERATIONS = 100_000
 
-# Blocks of at most this many Y-vertices start power iteration from the
-# Perron vector of a dense eigh of their s x s Gram matrix, the only Gram
-# matrix ever formed.  Measured for the matrix-free loop on a shared 2-vCPU
-# Xeon with OpenBLAS on one thread, on a random half-dense s x s block:
-# forming the Gram matrix plus eigh takes about 20 us at s = 8, 51 us at 16,
-# 65-99 us at 24, 145 us at 32 and 510 us at 64; one product B^T (B v)
-# takes 5-10 us, and the loop from all-ones 70-180 us (21 products at 8,
-# 9-13 at 16-64).  The crossover lies between 24 and 32; the limit sits
-# below it, so large blocks never pay for eigh.
+# Blocks of at most this many Y-vertices form their s x s Gram matrix, start
+# from the Perron vector of a dense eigh of it and take their products on
+# it; larger blocks stay matrix-free and start from all-ones.  Measured for
+# this loop on a shared 2-vCPU Xeon with OpenBLAS on one thread, as whole
+# spectral_radius calls on random half-dense s x s graphs (three each):
+# with the dense start 48-55 us at s = 8, 92-95 us at 16, 147-151 us at 24,
+# 204-212 us at 32 and 417-421 us at 48, always one product; from all-ones
+# 134-161 us at 8 (16-19 products), 133-148 us at 16 (13-15), 129-148 us at
+# 24 (11-13), 131-153 us at 32 (10-12) and 156-160 us at 48 (10).  The
+# crossover lies near 24; the limit sits below it, so large blocks never
+# pay for eigh.
 _DENSE_START_MAX = 16
 
 
@@ -71,63 +77,74 @@ class InconsistencyError(RuntimeError):
 @dataclass(frozen=True)
 class SpectralReport:
     value: float
-    method: str  # power-iteration | quotient-closed-form | quartic-bisection
+    method: str  # power-iteration | quotient-closed-form
     iterations: int
-    residual: float
+    residual: float  # rho lies in [value, value + residual]
 
 
 def spectral_radius(
     g: BipartiteGraph, tol: float | None = None, max_iterations: int = MAX_ITERATIONS
 ) -> SpectralReport:
-    """Spectral radius from matrix-free power iteration on M = B^T B.
+    """Spectral radius from certified power iteration on M = B^T B.
 
     B is the n x n biadjacency matrix (rows X, columns Y), so rho(G)^2 =
     rho(M).  M splits into one block per connected component of the
     non-isolated Y-vertices; each block is nonnegative with a positive
-    diagonal, hence primitive.  A block is never formed: with Bb the block's
-    columns of B, one product is u = Bb v, w = Bb^T u, so it costs two
-    n x s matrix-vector products and no s x s matrix.  A block of at most
-    _DENSE_START_MAX Y-vertices forms its small Gram matrix Bb^T Bb once,
-    only to start from |top eigenvector of eigh| (or from the all-ones
-    vector if that has an entry <= 0); a larger block starts from all-ones.
-    For any positive iterate v the Rayleigh quotient u.u / v.v = v.Mv / v.v
-    is a lower bound on the block's radius (M is symmetric) and
-    max_i w_i / v_i an upper bound (Collatz-Wielandt), so the start decides
-    only how many products a block takes; a block stops once the square
-    roots of the two bounds differ by less than tol.  A block of one
-    Y-vertex is a star and has rho = sqrt(its degree).
+    diagonal, hence primitive.  With Bb the block's columns of B, a block of
+    at most _DENSE_START_MAX Y-vertices forms its s x s Gram matrix
+    Bb^T Bb, starts from |top eigenvector of eigh| of it (or from the
+    all-ones vector if that has an entry <= 0), and takes each product
+    w = M v as one s x s matrix-vector product on it.  A larger block
+    starts from all-ones and is never formed: one product is Bb^T (Bb v),
+    two n x s matrix-vector products.  For any positive iterate v the
+    Rayleigh quotient v.w / v.v is a lower bound on the block's radius (M is
+    symmetric) and max_i w_i / v_i an upper bound (Collatz-Wielandt), so the
+    start decides only how many products a block takes; a block stops once
+    the square roots of the two bounds differ by less than tol.  A block of
+    one Y-vertex is a star and has rho = sqrt(its degree); B is built only
+    if some block has two or more Y-vertices.
 
     Reports value = the certified lower end (it overshoots rho only by
-    float64 rounding; see bracket_contains), residual = the certified bracket width in rho units, and iterations =
-    the products v -> w over all blocks.  Raises ConvergenceError once
-    max_iterations products have not closed every bracket.
+    float64 rounding; see bracket_contains), residual = the certified
+    bracket width in rho units, and iterations = the products v -> w over
+    all blocks.  Raises ConvergenceError once max_iterations products have
+    not closed every bracket.
     """
     if tol is None:
         tol = default_tolerance()
     if not tol > 0:
         raise GraphError(f"tolerance must be positive, got {tol}")
     n = g.n
-    b = _biadjacency(g.x_rows, n)
+    b = star_degrees = None
     lo = hi = 0.0
     iterations = 0
     for block in _y_components(g.x_rows):
         size = block.bit_count()
         if size == 1:  # one Y-vertex: a star, rho^2 = its degree
-            degree = b[:, block.bit_length() - 1].sum()
+            if star_degrees is None:
+                # the star's X-neighbours are exactly the rows equal to its bit
+                star_degrees = Counter(g.x_rows)
+            degree = star_degrees[block]
             lo, hi = max(lo, degree), max(hi, degree)
             continue
+        if b is None:
+            b = _biadjacency(g.x_rows, n)
         bb = b if size == n else b[:, list(_bits(block))]
-        v = np.ones(size)
+        gram = v = None
         if size <= _DENSE_START_MAX:
-            perron = np.abs(np.linalg.eigh(bb.T @ bb)[1][:, -1])
-            if (perron > 0).all():
+            gram = bb.T.dot(bb)
+            perron = np.abs(np.linalg.eigh(gram)[1][:, -1])
+            if min(perron.tolist()) > 0:
                 v = perron
+        if v is None:
+            v = np.ones(size)
         gap = math.inf
         for _ in range(max_iterations - iterations):
             iterations += 1
-            u = bb @ v
-            w = u @ bb
-            c_lo = (u @ u) / (v @ v)
+            # matmul takes B's strided column view as it is; .dot would copy
+            # it whole on every call
+            w = (bb @ v) @ bb if gram is None else gram.dot(v)
+            c_lo = v.dot(w) / v.dot(v)
             # builtin max over a list: on the few-vertex blocks of typical
             # calls a numpy reduction costs more than the product itself
             c_hi = max((w / v).tolist())
@@ -157,8 +174,11 @@ def _biadjacency(x_rows: tuple[int, ...], n: int) -> np.ndarray:
     """float64 0/1 matrix B: entry (i, j) is bit j of x_rows[i].
 
     Each row is packed into little-endian bytes, and one lookup in
-    _BYTE_BITS turns every byte into its 8 entries.
+    _BYTE_BITS turns every byte into its 8 entries.  Rows of at most 8 bits
+    are their own one byte and index the table directly.
     """
+    if n <= 8:
+        return _BYTE_BITS.take(x_rows, axis=0)[:, :n]
     width = (n + 7) // 8
     packed = np.frombuffer(b"".join(row.to_bytes(width, "little") for row in x_rows), np.uint8)
     return _BYTE_BITS[packed].reshape(len(x_rows), 8 * width)[:, :n]
@@ -167,23 +187,49 @@ def _biadjacency(x_rows: tuple[int, ...], n: int) -> np.ndarray:
 def _y_components(x_rows: tuple[int, ...]) -> list[int]:
     """Connected components of the non-isolated Y-vertices, as bitsets.
 
-    Each X-row's neighborhood lies inside one component; merging every
-    component a row meets, row by row, leaves exactly the components.
+    Union-find over blocks: each X-row's neighborhood lies inside one
+    component, so each row merges every block it meets.  A row inside the
+    block of the row before costs one test; otherwise each further block it
+    meets is found from one of its Y-vertices, through the id of the block
+    that Y-vertex first joined.  Those ids are written lazily, only when a
+    row meets a block other than the previous row's, so each Y-vertex is
+    written at most once and the pass stays linear in n.
     """
-    blocks: list[int] = []
+    blocks: dict[int, int] = {}  # live block id -> its Y-vertices
+    merged_into: list[int] = []  # block id -> the id it joined; itself while live
+    joined: dict[int, int] = {}  # Y-vertex -> id of the first block it joined
+    unwritten: list[tuple[int, int]] = []  # (Y-vertices, block id) not yet in joined
+    seen = last = 0  # every Y-vertex met so far; the previous row's block
     for row in x_rows:
-        if not row:
-            continue
-        merged = row
-        rest = []
-        for block in blocks:
-            if block & row:
-                merged |= block
-            else:
-                rest.append(block)
-        rest.append(merged)
-        blocks = rest
-    return blocks
+        if not row & ~last:
+            continue  # empty, or inside the previous row's block
+        if row & last:
+            merged = row | last
+        else:
+            merged = row
+            current = len(merged_into)
+            merged_into.append(current)
+        other = row & seen & ~last
+        while other:  # Y-vertices of other blocks: merge each such block
+            y = (other & -other).bit_length() - 1
+            if y not in joined:
+                for ys, block_id in unwritten:
+                    for z in _bits(ys):
+                        joined[z] = block_id
+                unwritten.clear()
+            root = joined[y]
+            while merged_into[root] != root:
+                merged_into[root] = root = merged_into[merged_into[root]]
+            merged_into[root] = current
+            ys = blocks.pop(root)
+            merged |= ys
+            other &= ~ys
+        new = row & ~seen
+        if new:
+            unwritten.append((new, current))
+            seen |= new
+        blocks[current] = last = merged
+    return list(blocks.values())
 
 
 @dataclass(frozen=True)
@@ -241,46 +287,50 @@ def join_charpoly(params: ExtremalParams, x: float) -> float:
 
 
 def largest_biquadratic_root(c2: float, c0: float) -> float:
-    """Largest real root of x^4 - c2 x^2 + c0, cross-checked by bisection
-    on [sqrt(c2/2), sqrt(c2)]."""
+    """Largest real root of x^4 - c2 x^2 + c0: sqrt((c2 + sqrt(c2^2 - 4 c0)) / 2)."""
     if c2 <= 0 or c0 < 0:
         raise GraphError(f"need c2 > 0 and c0 >= 0, got ({c2}, {c0})")
     disc = c2 * c2 - 4.0 * c0
     if disc < 0:
         raise GraphError(f"negative discriminant for ({c2}, {c0}); bad coefficients")
-    closed = math.sqrt((c2 + math.sqrt(disc)) / 2.0)
-    bisected = _bisect_biquadratic(c2, c0)
-    if abs(closed - bisected) > 1e-8 * max(1.0, closed):
-        raise InconsistencyError(
-            f"closed form {closed!r} and bisection {bisected!r} disagree for ({c2}, {c0})"
-        )
-    return closed
+    return math.sqrt((c2 + math.sqrt(disc)) / 2.0)
 
 
-def _bisect_biquadratic(c2: float, c0: float, steps: int = 100) -> float:
-    # f(lo) = c0 - c2^2/4 <= 0 and f(hi) = c0 >= 0 bracket the largest root
-    lo, hi = math.sqrt(c2 / 2.0), math.sqrt(c2)
-    f = lambda x: x**4 - c2 * x**2 + c0
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        if f(mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _root_sign(c2: int, c0: int, y: float) -> int:
+    """Exact sign (-1, 0 or 1) of rho - y, where rho is the largest root of
+    x^4 - c2 x^2 + c0 (c2 > 0, c2^2 >= 4 c0) and y >= 0.
+
+    In t = x^2 the polynomial t^2 - c2 t + c0 has its largest root at or
+    above its vertex c2 / 2 and increases from there, so below the vertex
+    rho > y, and above it rho - y has the sign of -(y^4 - c2 y^2 + c0).
+    Both tests run in integers on y = p / q exactly, scaled by q^4.
+    """
+    p, q = y.as_integer_ratio()
+    p2, q2 = p * p, q * q
+    if 2 * p2 < c2 * q2:
+        return 1
+    f = p2 * p2 - c2 * p2 * q2 + c0 * q2 * q2
+    return (f < 0) - (f > 0)
 
 
 def quotient_spectral_radius(params: ExtremalParams, method: str = "closed") -> SpectralReport:
-    """Spectral radius of build_join(params) from its quotient matrix."""
+    """Spectral radius of build_join(params) from its quotient matrix.
+
+    value is the closed form, stepped down by ulps until it is at most the
+    exact root, and residual the least power-of-two multiple of its ulp (or
+    0) that puts the root in [value, value + residual]; both ends are
+    decided by exact integer sign checks (_root_sign).
+    """
+    if method != "closed":
+        raise GraphError(f"unknown quotient method {method!r}")
     c2, c0 = biquadratic_coeffs(params.n, params.k, params.p)
-    if method == "closed":
-        value = largest_biquadratic_root(c2, c0)
-        bisected = _bisect_biquadratic(c2, c0)
-        return SpectralReport(value, "quotient-closed-form", 0, abs(value - bisected))
-    if method == "bisect":
-        value = _bisect_biquadratic(c2, c0)
-        return SpectralReport(value, "quartic-bisection", 100, abs(join_charpoly(params, value)))
-    raise GraphError(f"unknown quotient method {method!r}")
+    value = largest_biquadratic_root(c2, c0)
+    while _root_sign(c2, c0, value) < 0:
+        value = math.nextafter(value, 0.0)
+    residual = 0.0
+    while _root_sign(c2, c0, value + residual) > 0:
+        residual = 2 * residual or math.ulp(value)
+    return SpectralReport(value, "quotient-closed-form", 0, residual)
 
 
 def extremal_spectral_radius(n: int, k: int) -> float:

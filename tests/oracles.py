@@ -1,8 +1,8 @@
 """Brute-force oracles the tests compare the library against: k-factor
 existence, rainbow perfect matchings and family automorphisms, all by plain
-enumeration."""
+enumeration, and connected components by breadth-first search."""
 
-from collections import Counter
+from collections import Counter, deque
 from itertools import combinations, permutations, product
 
 from rfl.graphs import BipartiteGraph, Edge
@@ -79,3 +79,27 @@ def brute_force_automorphisms(members) -> list[tuple[int, tuple[int, ...], tuple
                 if images == count:
                     found.append((transpose, sx, sy))
     return found
+
+
+def bfs_y_components(g: BipartiteGraph) -> list[int]:
+    """Oracle: the Y-vertex sets of the connected components of g that have
+    an edge, as bitsets (bit j for Y-vertex n+j+1), by breadth-first search
+    over vertex neighbor lists."""
+    n = g.n
+    seen: set[int] = set()
+    blocks = []
+    for start in range(n + 1, 2 * n + 1):
+        if start in seen or not g.neighbors(start):
+            continue
+        seen.add(start)
+        queue, block = deque([start]), 0
+        while queue:
+            v = queue.popleft()
+            if v > n:
+                block |= 1 << (v - n - 1)
+            for w in g.neighbors(v):
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+        blocks.append(block)
+    return blocks

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,9 +29,11 @@ from rfl.spectral import (
     join_margin,
     largest_biquadratic_root,
     quotient_matrix,
+    quotient_spectral_radius,
     spectral_radius,
 )
 from tests.conftest import random_graph
+from tests.oracles import bfs_y_components
 
 # largest root of x^4 - 13x^2 + 9, via x^2 = (13 + sqrt(133))/2
 RHO_B_4_2 = 3.502325127302632
@@ -201,6 +204,25 @@ class TestPowerIteration:
         assert report.value > 2.0  # the later block's radius, not the path's
         assert_bracket_contains(g, report)
 
+    def test_iteration_totals_of_dense_started_blocks_pinned(self, rng):
+        # every block here has at most 8 Y-vertices and starts from eigh's
+        # Perron vector; the benchmark's shift-audit work count sums such
+        # calls, so a change to the dense-block product must not move these
+        # totals unseen (both measured on the matrix-free loop before it
+        # took its products on the formed Gram matrix)
+        small = 0
+        for n in range(1, 4):
+            for code in range(1 << (n * n)):
+                rows = tuple((code >> (n * i)) & ((1 << n) - 1) for i in range(n))
+                g = BipartiteGraph(n, rows)
+                small += spectral_radius(g).iterations + spectral_radius(g.transposed()).iterations
+        assert small == 910
+        sampled = 0
+        for _ in range(300):
+            n = int(rng.integers(1, 9))
+            sampled += spectral_radius(random_graph(rng, n, float(rng.random()))).iterations
+        assert sampled == 214
+
     @pytest.mark.parametrize(
         "n, k, p, iterations",
         [(100, 3, 3, 4), (300, 4, 4, 3), (1000, 2, 2, 3), (100, 3, 33, 12), (300, 4, 100, 12)],
@@ -267,6 +289,40 @@ class TestPowerIteration:
             )
 
 
+class TestYComponents:
+    def test_against_bfs_on_sparse_graphs(self, rng):
+        # about one edge per vertex: many blocks, and rows that merge blocks
+        # made by earlier rows in every order
+        for _ in range(300):
+            n = int(rng.integers(1, 31))
+            g = random_graph(rng, n, float(rng.random()) * 2.5 / n)
+            blocks = _y_components(g.x_rows)
+            assert len(set(blocks)) == len(blocks)
+            assert sorted(blocks) == sorted(bfs_y_components(g)), g.x_rows
+
+    def test_chains_whose_links_arrive_shuffled(self, rng):
+        # row i joins Y-vertices i and i+1 (a path), rows in random order:
+        # the last rows merge long runs of blocks built apart
+        for n in (2, 5, 40, 300):
+            order = rng.permutation(n - 1)
+            rows = [(1 << int(i)) | (1 << int(i) + 1) for i in order] + [0]
+            g = BipartiteGraph(n, tuple(rows))
+            assert _y_components(g.x_rows) == [(1 << n) - 1]
+            assert bfs_y_components(g) == [(1 << n) - 1]
+
+    def test_perfect_matchings_and_isolated_vertices(self, rng):
+        for n in (1, 2, 7, 2000):
+            perm = rng.permutation(n)
+            g = BipartiteGraph(n, tuple(1 << int(j) for j in perm))
+            assert sorted(_y_components(g.x_rows)) == [1 << j for j in range(n)]
+            report = spectral_radius(g)  # n stars of degree 1
+            assert (report.value, report.iterations, report.residual) == (1.0, 0, 0.0)
+        assert _y_components(BipartiteGraph.empty(5).x_rows) == []
+        # X-vertex 1 and Y-vertex 2 isolated; two blocks {1, 3} and {4}
+        g = BipartiteGraph(4, (0, 0b0101, 0b0001, 0b1000))
+        assert sorted(_y_components(g.x_rows)) == sorted(bfs_y_components(g)) == [0b0101, 0b1000]
+
+
 class TestQuotientMatrix:
     def test_extremal_4_2(self):
         q = quotient_matrix(ExtremalParams(4, 2, 2))
@@ -330,14 +386,27 @@ class TestQuotientMatrix:
                 reach = np.linalg.matrix_power(np.eye(4) + (m > 0), 4)
                 assert (reach > 0).all()
 
-    def test_bisection_method_report(self):
-        from rfl.spectral import quotient_spectral_radius
+    def test_closed_form_against_exact_signs(self):
+        # x^4 - c2 x^2 + c0 in exact rationals: negative just below the
+        # largest root, past the vertex x^2 = c2 / 2, and positive just above
+        def f(c2, c0, x):
+            t = Fraction(x) ** 2
+            return t * t - c2 * t + c0
 
-        closed = quotient_spectral_radius(ExtremalParams(4, 2, 3), method="closed")
-        bisect = quotient_spectral_radius(ExtremalParams(4, 2, 3), method="bisect")
-        assert closed.method == "quotient-closed-form"
-        assert bisect.method == "quartic-bisection"
-        assert closed.value == pytest.approx(bisect.value, abs=1e-9)
+        for k in (2, 3, 4):
+            for n in (*range(2 * k, 13), 100, 1000):
+                for p in sorted({k, k + 1, n // 2, n - 1}):
+                    c2, c0 = biquadratic_coeffs(n, k, p)
+                    x = largest_biquadratic_root(c2, c0)
+                    below, above = x - 4 * math.ulp(x), x + 4 * math.ulp(x)
+                    assert 2 * Fraction(below) ** 2 > c2
+                    assert f(c2, c0, below) < 0 < f(c2, c0, above), (n, k, p)
+                    report = quotient_spectral_radius(ExtremalParams(n, k, p))
+                    assert report.method == "quotient-closed-form"
+                    assert abs(report.value - x) <= 2 * math.ulp(x)
+                    assert report.residual <= 4 * math.ulp(x)
+                    hi = report.value + report.residual
+                    assert f(c2, c0, report.value) <= 0 <= f(c2, c0, hi), (n, k, p)
         with pytest.raises(GraphError):
             quotient_spectral_radius(ExtremalParams(4, 2, 3), method="newton")
 
