@@ -277,27 +277,30 @@ def build_extremal(n: int, k: int) -> BipartiteGraph:
     """The spectral-extremal graph: one vertex (2n) of degree k-1 whose
     neighbors {1..k-1} are complete to Y, with {k..n} complete to Y minus 2n.
 
-    Joins a complete (k-1) x (n-1) block with the quasi-complement of a
-    complete (n-k+1) x 1 block.  Edge count: n^2 - n + k - 1.
+    The rows are written directly: k-1 full rows, then n-k+1 rows missing
+    only bit n-1.  They equal the bowtie_join of a complete (k-1) x (n-1)
+    block with the quasi-complement of a complete (n-k+1) x 1 block.  Edge
+    count: n^2 - n + k - 1.
     """
     if k < 1 or n < k + 1:
         raise GraphError(f"need k >= 1 and n >= k+1, got (n,k) = ({n},{k})")
-    g1 = build_complete_bipartite(k - 1, n - 1, 0, 0, n)
-    g2 = BipartiteGraph.empty(n)  # quasi-complement of the complete block
-    return bowtie_join(g1, g2, x1=range(1, k), y1=range(n + 1, 2 * n))
+    full = (1 << n) - 1
+    return BipartiteGraph(n, (full,) * (k - 1) + (full >> 1,) * (n - k + 1))
 
 
 def build_join(params: ExtremalParams) -> BipartiteGraph:
     """Join-type comparison graph for (n, k, p): X1 = {1..p-1} complete to Y,
     X2 = {p..n} complete to the first n+k-p-1 Y-vertices.
 
-    p = k reproduces build_extremal(n, k) edge-for-edge.
+    The rows are written directly: p-1 full rows, then n-p+1 rows of the
+    first n+k-p-1 bits.  They equal the bowtie_join of a complete
+    (p-1) x (n+k-p-1) block with the empty graph, X1 = {1..p-1} and Y1 the
+    first n+k-p-1 Y-vertices.  p = k reproduces build_extremal(n, k)
+    edge-for-edge.
     """
     n, k, p = params.n, params.k, params.p
     b = n + k - p - 1  # |Y1|; the remaining p-k+1 Y-vertices form Y2
-    g1 = build_complete_bipartite(p - 1, b, 0, 0, n)
-    g2 = BipartiteGraph.empty(n)
-    return bowtie_join(g1, g2, x1=range(1, p), y1=range(n + 1, n + b + 1))
+    return BipartiteGraph(n, ((1 << n) - 1,) * (p - 1) + ((1 << b) - 1,) * (n - p + 1))
 
 
 def labeled_extremal_copy(
@@ -305,7 +308,7 @@ def labeled_extremal_copy(
 ) -> BipartiteGraph:
     """The labeled extremal copy with given deficient vertex and its k-1
     neighbors: the complete graph minus all other edges at the deficient
-    vertex."""
+    vertex, with its rows written directly."""
     if not (1 <= deficient <= 2 * n):
         raise GraphError(f"deficient vertex {deficient} out of range")
     nbrs = sorted(set(neighbors))
@@ -317,13 +320,14 @@ def labeled_extremal_copy(
             raise GraphError(f"neighbor {w} must lie in Y")
         if not in_x and not (1 <= w <= n):
             raise GraphError(f"neighbor {w} must lie in X")
-    g = BipartiteGraph.complete(n)
-    opposite = range(n + 1, 2 * n + 1) if in_x else range(1, n + 1)
-    for w in opposite:
-        if w not in nbrs:
-            e = (deficient, w) if in_x else (w, deficient)
-            g = g.without_edge(*e)
-    return g
+    full = (1 << n) - 1
+    if in_x:  # the deficient X-row keeps only its neighbors' bits
+        rows = [full] * n
+        rows[deficient - 1] = sum(1 << (w - n - 1) for w in nbrs)
+    else:  # every X-row but the neighbors' loses the deficient bit
+        keep, cut = set(nbrs), full & ~(1 << (deficient - n - 1))
+        rows = [full if x in keep else cut for x in range(1, n + 1)]
+    return BipartiteGraph(n, tuple(rows))
 
 
 def extremal_signature(g: BipartiteGraph, k: int) -> tuple[int, tuple[int, ...]] | None:

@@ -10,10 +10,16 @@ matrix-vector product on that matrix; its bracket usually closes on the
 first product.  A larger block is never formed: each product is applied
 through B as B^T (B v), two n x s matrix-vector products per step instead
 of an O(n^3) matrix product up front (Golub and Van Loan, Matrix
-Computations, secs. 8.6 and 10.4).  Each block stops on a certified
-bracket, the Rayleigh quotient below and the Collatz-Wielandt bound above;
-the bracket holds for any positive start, so the dense start changes the
-cost, never the guarantee.  Join-type and extremal graphs additionally
+Computations, secs. 8.6 and 10.4).  On graphs with more than
+_DENSE_START_MAX X-vertices, B keeps only the distinct nonzero X-rows and
+each product weights them by their multiplicities, B^T B = Bd^T diag(m) Bd
+exactly: the X-side half of the equitable partitions below (Brouwer and
+Haemers, Spectra of Graphs, sec. 2.3), so the extremal and join graphs,
+with two distinct rows, take O(n) per product; smaller graphs keep their
+rows as they are.  Each block stops on a certified bracket, the Rayleigh
+quotient below and the Collatz-Wielandt bound above; the bracket holds for
+any positive start, so the dense start changes the cost, never the
+guarantee.  Join-type and extremal graphs additionally
 admit a 4x4 equitable quotient matrix whose characteristic polynomial
 x^4 - c2 x^2 + c0 has integer coefficients (biquadratic_coeffs), giving a
 closed form for rho, bracketed by exact integer sign checks, and an exact
@@ -52,6 +58,12 @@ MAX_ITERATIONS = 100_000
 # 24 (11-13), 131-153 us at 32 (10-12) and 156-160 us at 48 (10).  The
 # crossover lies near 24; the limit sits below it, so large blocks never
 # pay for eigh.
+# The same limit decides which graphs run on their distinct rows: one of at
+# most this many X-vertices keeps its rows as they are, since all its blocks
+# are dense-started and cost fixed numpy overhead that counting the rows
+# only adds to.  Measured the same way, counting every graph's rows took
+# 64-66 us a call against 53-55 us on Ferrers graphs with n = 9, and 44-46
+# against 37-39 us on random graphs with n <= 8.
 _DENSE_START_MAX = 16
 
 
@@ -104,6 +116,13 @@ def spectral_radius(
     one Y-vertex is a star and has rho = sqrt(its degree); B is built only
     if some block has two or more Y-vertices.
 
+    For n > _DENSE_START_MAX the rows are counted once and B holds only the
+    d distinct nonzero rows, with multiplicities m: B^T B = Bd^T diag(m) Bd,
+    so a large block's product is ((Bb v) * m) Bb, a small block forms
+    (Bb^T * m) Bb, and a star's degree is its bit's count.  The iterates are
+    those of the full B up to rounding, and the certificate is unchanged.
+    For n <= _DENSE_START_MAX the rows are used as they are.
+
     Reports value = the certified lower end (it overshoots rho only by
     float64 rounding; see bracket_contains), residual = the certified
     bracket width in rho units, and iterations = the products v -> w over
@@ -115,24 +134,32 @@ def spectral_radius(
     if not tol > 0:
         raise GraphError(f"tolerance must be positive, got {tol}")
     n = g.n
-    b = star_degrees = None
+    rows, multiplicity, weights = g.x_rows, None, None
+    if n > _DENSE_START_MAX:
+        # identical X-rows are identical rows of B: B^T B = Bd^T diag(m) Bd
+        # over the distinct nonzero rows Bd and their multiplicities m
+        multiplicity = Counter(rows)
+        multiplicity.pop(0, None)
+        rows = tuple(multiplicity)
+        weights = np.array(tuple(multiplicity.values()), np.float64)
+    b = None
     lo = hi = 0.0
     iterations = 0
-    for block in _y_components(g.x_rows):
+    for block in _y_components(rows):
         size = block.bit_count()
         if size == 1:  # one Y-vertex: a star, rho^2 = its degree
-            if star_degrees is None:
-                # the star's X-neighbours are exactly the rows equal to its bit
-                star_degrees = Counter(g.x_rows)
-            degree = star_degrees[block]
+            if multiplicity is None:
+                multiplicity = Counter(rows)
+            # the star's X-neighbours are exactly the rows equal to its bit
+            degree = multiplicity[block]
             lo, hi = max(lo, degree), max(hi, degree)
             continue
         if b is None:
-            b = _biadjacency(g.x_rows, n)
+            b = _biadjacency(rows, n)
         bb = b if size == n else b[:, list(_bits(block))]
         gram = v = None
         if size <= _DENSE_START_MAX:
-            gram = bb.T.dot(bb)
+            gram = bb.T.dot(bb) if weights is None else (bb.T * weights).dot(bb)
             perron = np.abs(np.linalg.eigh(gram)[1][:, -1])
             if min(perron.tolist()) > 0:
                 v = perron
@@ -142,8 +169,10 @@ def spectral_radius(
         for _ in range(max_iterations - iterations):
             iterations += 1
             # matmul takes B's strided column view as it is; .dot would copy
-            # it whole on every call
-            w = (bb @ v) @ bb if gram is None else gram.dot(v)
+            # it whole on every call.  A block without its Gram matrix has
+            # more than _DENSE_START_MAX Y-vertices, so n does too and its
+            # rows carry weights.
+            w = ((bb @ v) * weights) @ bb if gram is None else gram.dot(v)
             c_lo = v.dot(w) / v.dot(v)
             # builtin max over a list: on the few-vertex blocks of typical
             # calls a numpy reduction costs more than the product itself
@@ -173,15 +202,25 @@ _BYTE_BITS = np.array([[(byte >> j) & 1 for j in range(8)] for byte in range(256
 def _biadjacency(x_rows: tuple[int, ...], n: int) -> np.ndarray:
     """float64 0/1 matrix B: entry (i, j) is bit j of x_rows[i].
 
-    Each row is packed into little-endian bytes, and one lookup in
-    _BYTE_BITS turns every byte into its 8 entries.  Rows of at most 8 bits
-    are their own one byte and index the table directly.
+    Each row is packed into little-endian bytes, and lookups in _BYTE_BITS
+    turn every byte into its 8 entries.  Rows of at most 8 bits are their
+    own one byte and index the table directly.
     """
     if n <= 8:
         return _BYTE_BITS.take(x_rows, axis=0)[:, :n]
     width = (n + 7) // 8
     packed = np.frombuffer(b"".join(row.to_bytes(width, "little") for row in x_rows), np.uint8)
-    return _BYTE_BITS[packed].reshape(len(x_rows), 8 * width)[:, :n]
+    b = np.empty((len(x_rows), 8 * width))
+    entries = b.reshape(-1, 8)
+    # take, not _BYTE_BITS[packed]: numpy's fancy indexing by a uint8 array
+    # is about twice as slow.  take converts its indices to intp, 8 bytes
+    # each, so it runs on slices of 8192 bytes to keep that copy small
+    # beside B; mode="clip" (every byte is a valid row) writes into the
+    # slice of B directly, where the default mode would buffer it.
+    for start in range(0, len(packed), 8192):
+        stop = start + 8192
+        _BYTE_BITS.take(packed[start:stop], axis=0, out=entries[start:stop], mode="clip")
+    return b[:, :n]
 
 
 def _y_components(x_rows: tuple[int, ...]) -> list[int]:

@@ -223,6 +223,61 @@ class TestBuildJoin:
             ExtremalParams(4, 2, 1)
 
 
+def composed_extremal(n: int, k: int) -> BipartiteGraph:
+    """Oracle: build_extremal as the join of a complete (k-1) x (n-1) block
+    with the quasi-complement of a complete (n-k+1) x 1 block."""
+    g1 = build_complete_bipartite(k - 1, n - 1, 0, 0, n)
+    return bowtie_join(g1, BipartiteGraph.empty(n), x1=range(1, k), y1=range(n + 1, 2 * n))
+
+
+def composed_join(n: int, k: int, p: int) -> BipartiteGraph:
+    """Oracle: build_join as the join of a complete (p-1) x (n+k-p-1) block
+    with the empty graph."""
+    b = n + k - p - 1
+    g1 = build_complete_bipartite(p - 1, b, 0, 0, n)
+    return bowtie_join(g1, BipartiteGraph.empty(n), x1=range(1, p), y1=range(n + 1, n + b + 1))
+
+
+def composed_labeled_copy(n: int, deficient: int, nbrs: list[int]) -> BipartiteGraph:
+    """Oracle: labeled_extremal_copy as the complete graph with every other
+    edge at the deficient vertex removed one at a time."""
+    g = BipartiteGraph.complete(n)
+    in_x = deficient <= n
+    for w in range(n + 1, 2 * n + 1) if in_x else range(1, n + 1):
+        if w not in nbrs:
+            g = g.without_edge(*((deficient, w) if in_x else (w, deficient)))
+    return g
+
+
+class TestDirectBuilders:
+    """The builders write their rows directly; each must equal the
+    composition it replaced, kept above as the oracle."""
+
+    def test_extremal_and_join_on_every_small_case(self):
+        for n in range(2, 41):
+            for k in range(1, n):
+                assert build_extremal(n, k) == composed_extremal(n, k)
+            for k in range(2, n // 2 + 1):
+                for p in range(k, n):
+                    assert build_join(ExtremalParams(n, k, p)) == composed_join(n, k, p)
+
+    def test_labeled_copies(self, rng):
+        for n in range(1, 41):
+            deficient = [1, n, n + 1, 2 * n, *(int(u) for u in rng.integers(1, 2 * n + 1, 4))]
+            for u in deficient:
+                pool = range(n + 1, 2 * n + 1) if u <= n else range(1, n + 1)
+                for k in (1, int(rng.integers(1, n + 2)), n + 1):
+                    nbrs = [int(w) for w in rng.choice(pool, size=k - 1, replace=False)]
+                    assert labeled_extremal_copy(n, k, u, nbrs) == composed_labeled_copy(
+                        n, u, nbrs
+                    ), (n, k, u, nbrs)
+
+    def test_labeled_copy_keeps_its_checks(self):
+        for args in [(4, 2, 9, [5]), (4, 2, 3, [5, 6]), (4, 2, 3, [2]), (4, 2, 6, [7])]:
+            with pytest.raises(GraphError):
+                labeled_extremal_copy(*args)
+
+
 class TestExtremalRecognition:
     def test_permuted_copy_recognized(self):
         g = build_extremal(4, 2).relabeled({2: 3, 3: 2})

@@ -247,6 +247,55 @@ class TestPowerIteration:
             tracemalloc.stop()
         assert peak < 1.5 * n * n * 8
 
+    def test_no_dense_b_for_two_distinct_rows(self):
+        # B(n, 2) has two distinct rows; above the dense-start limit the
+        # products run on those two rows and their multiplicities, so even
+        # a sixteenth of one dense B would be too much
+        n = 2000
+        g = build_extremal(n, 2)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            spectral_radius(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 16
+
+    def test_twin_rows_against_dense_and_row_order(self, rng):
+        # rows drawn from a small pool, so most rows have twins: some pool
+        # rows lie in the first s <= _DENSE_START_MAX Y-vertices (a
+        # dense-started block), the others in the rest (a matrix-free block
+        # once more than _DENSE_START_MAX of them are covered)
+        sizes = []
+        for _ in range(60):
+            n = int(rng.integers(17, 49))
+            s = int(rng.integers(2, _DENSE_START_MAX + 1))
+            pool = []
+            for lo, hi in ((0, s), (0, s), (s, n), (s, n), (s, n), (s, n)):
+                picks = rng.random(hi - lo) < 0.4
+                pool.append(sum(1 << j for j in range(lo, hi) if picks[j - lo]))
+            rows = [pool[int(i)] for i in rng.integers(0, len(pool), n)]
+            g = BipartiteGraph(n, tuple(rows))
+            report = spectral_radius(g)
+            assert_bracket_contains(g, report)
+            shuffled = BipartiteGraph(n, tuple(rows[int(i)] for i in rng.permutation(n)))
+            assert spectral_radius(shuffled).iterations == report.iterations
+            sizes += [b.bit_count() for b in _y_components(g.x_rows)]
+        assert any(1 < size <= _DENSE_START_MAX for size in sizes)
+        assert any(size > _DENSE_START_MAX for size in sizes)
+
+    def test_stars_of_duplicated_rows_above_the_dense_start_limit(self):
+        # Y-vertex 4 is adjacent to 5 X-vertices, Y-vertex 8 to 3, the
+        # others to at most one: every block is a star
+        n = 20
+        rows = [1 << 3] * 5 + [1 << 7] * 3 + [1 << j for j in range(9, 19)] + [0, 0]
+        for order in (rows, rows[::-1]):
+            g = BipartiteGraph(n, tuple(order))
+            report = spectral_radius(g)
+            assert (report.value, report.iterations, report.residual) == (math.sqrt(5), 0, 0.0)
+            assert_bracket_contains(g, report)
+
     def test_part_swap_keeps_radius(self, rng):
         # M = B^T B is one-sided; the transposed graph iterates on B B^T
         for _ in range(60):
