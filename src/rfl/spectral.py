@@ -3,27 +3,33 @@
 Power iteration runs on the n x n Gram matrix B^T B of the biadjacency
 matrix B rather than on the 2n x 2n adjacency matrix: bipartite spectra are
 symmetric about 0, and rho(G)^2 = rho(B^T B), whose blocks (one per
-connected component) are primitive.  A block of at most _DENSE_START_MAX
-Y-vertices forms its small s x s Gram matrix, starts from the Perron vector
-of a dense eigensolver on it, and takes each product as one s x s
-matrix-vector product on that matrix; its bracket usually closes on the
-first product.  A larger block is never formed: each product is applied
-through B as B^T (B v), two n x s matrix-vector products per step instead
-of an O(n^3) matrix product up front (Golub and Van Loan, Matrix
-Computations, secs. 8.6 and 10.4).  On graphs with more than
-_DENSE_START_MAX X-vertices, B keeps only the distinct nonzero X-rows and
-each product weights them by their multiplicities, B^T B = Bd^T diag(m) Bd
-exactly: the X-side half of the equitable partitions below (Brouwer and
-Haemers, Spectra of Graphs, sec. 2.3), so the extremal and join graphs,
-with two distinct rows, take O(n) per product; smaller graphs keep their
-rows as they are.  Each block stops on a certified bracket, the Rayleigh
-quotient below and the Collatz-Wielandt bound above; the bracket holds for
-any positive start, so the dense start changes the cost, never the
-guarantee.  Join-type and extremal graphs additionally
-admit a 4x4 equitable quotient matrix whose characteristic polynomial
-x^4 - c2 x^2 + c0 has integer coefficients (biquadratic_coeffs), giving a
-closed form for rho, bracketed by exact integer sign checks, and an exact
-verdict on rho(join) < rho(extremal).
+connected component) are primitive.  Each block stops on a certified
+bracket, the Rayleigh quotient below and the Collatz-Wielandt bound above;
+the bracket holds for any positive start, so the start changes the cost,
+never the guarantee.  A block small enough for a dense eigensolver starts
+from its Perron vector and usually closes on the first product; a larger
+one starts from all-ones and is never formed, each product applied through
+B as B^T (B v) (Golub and Van Loan, Matrix Computations, secs. 8.6 and
+10.4).
+
+On graphs with more than _DENSE_START_MAX X-vertices both sides are
+quotiented by their twins, vertices with equal neighbourhoods, which form
+equitable partitions (Brouwer and Haemers, Spectra of Graphs, sec. 2.3).
+Identical X-rows are counted once and weighted by their multiplicities,
+B^T B = Bd^T diag(m_x) Bd exactly.  Each block's Y-vertices are split into
+twin classes by bitset refinement, given up once there are more than
+_DENSE_START_MAX classes; a block with at most that many iterates on its
+integer class quotient G = Bq^T diag(m_x) Bq, with products G (m_y * v)
+over class vectors whose bounds are those of the full class-constant
+iterate.  So the extremal and join graphs, with two distinct rows and two
+Y-classes, close in one product on a 2 x 2 matrix, and only a block with
+too many classes builds B.  Smaller graphs keep their rows as they are.
+
+Join-type and extremal graphs additionally admit a 4x4 equitable quotient
+matrix whose characteristic polynomial x^4 - c2 x^2 + c0 has integer
+coefficients (biquadratic_coeffs), giving a closed form for rho, bracketed
+by exact integer sign checks, and an exact verdict on
+rho(join) < rho(extremal).
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from __future__ import annotations
 import math
 import os
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,23 +54,26 @@ from .graphs import (
 DEFAULT_TOL = 1e-10
 MAX_ITERATIONS = 100_000
 
-# Blocks of at most this many Y-vertices form their s x s Gram matrix, start
-# from the Perron vector of a dense eigh of it and take their products on
-# it; larger blocks stay matrix-free and start from all-ones.  Measured for
-# this loop on a shared 2-vCPU Xeon with OpenBLAS on one thread, as whole
-# spectral_radius calls on random half-dense s x s graphs (three each):
-# with the dense start 48-55 us at s = 8, 92-95 us at 16, 147-151 us at 24,
-# 204-212 us at 32 and 417-421 us at 48, always one product; from all-ones
-# 134-161 us at 8 (16-19 products), 133-148 us at 16 (13-15), 129-148 us at
-# 24 (11-13), 131-153 us at 32 (10-12) and 156-160 us at 48 (10).  The
-# crossover lies near 24; the limit sits below it, so large blocks never
-# pay for eigh.
-# The same limit decides which graphs run on their distinct rows: one of at
-# most this many X-vertices keeps its rows as they are, since all its blocks
-# are dense-started and cost fixed numpy overhead that counting the rows
-# only adds to.  Measured the same way, counting every graph's rows took
+# Blocks of at most this many Y-vertices, or on graphs with more than this
+# many X-vertices of at most this many Y-twin classes, start from the Perron
+# vector of a dense eigh and take their products on a formed matrix; other
+# blocks stay matrix-free and start from all-ones.  Measured for this loop on
+# a shared 2-vCPU Xeon with OpenBLAS on one thread, as whole spectral_radius
+# calls on random half-dense s x s graphs (three each): with the dense start
+# 48-55 us at s = 8, 92-95 us at 16, 147-151 us at 24, 204-212 us at 32 and
+# 417-421 us at 48, always one product; from all-ones 134-161 us at 8 (16-19
+# products), 133-148 us at 16 (13-15), 129-148 us at 24 (11-13), 131-153 us
+# at 32 (10-12) and 156-160 us at 48 (10).  The crossover lies near 24; the
+# limit sits below it, so large blocks never pay for eigh.
+# The same limit decides which graphs are quotiented by their twins: one of
+# at most this many X-vertices keeps its rows as they are, since all its
+# blocks are dense-started and cost fixed numpy overhead that counting the
+# rows only adds to.  Measured the same way, counting every graph's rows took
 # 64-66 us a call against 53-55 us on Ferrers graphs with n = 9, and 44-46
-# against 37-39 us on random graphs with n <= 8.
+# against 37-39 us on random graphs with n <= 8.  And it bounds the class
+# count at which the twin split of a block gives up: a twin-free block
+# reaches it within a few rows, so it pays only a few dozen bitset
+# operations before running matrix-free.
 _DENSE_START_MAX = 16
 
 
@@ -102,26 +112,36 @@ def spectral_radius(
     B is the n x n biadjacency matrix (rows X, columns Y), so rho(G)^2 =
     rho(M).  M splits into one block per connected component of the
     non-isolated Y-vertices; each block is nonnegative with a positive
-    diagonal, hence primitive.  With Bb the block's columns of B, a block of
-    at most _DENSE_START_MAX Y-vertices forms its s x s Gram matrix
-    Bb^T Bb, starts from |top eigenvector of eigh| of it (or from the
-    all-ones vector if that has an entry <= 0), and takes each product
-    w = M v as one s x s matrix-vector product on it.  A larger block
-    starts from all-ones and is never formed: one product is Bb^T (Bb v),
-    two n x s matrix-vector products.  For any positive iterate v the
+    diagonal, hence primitive.  For any positive iterate v and w = M v the
     Rayleigh quotient v.w / v.v is a lower bound on the block's radius (M is
     symmetric) and max_i w_i / v_i an upper bound (Collatz-Wielandt), so the
     start decides only how many products a block takes; a block stops once
     the square roots of the two bounds differ by less than tol.  A block of
-    one Y-vertex is a star and has rho = sqrt(its degree); B is built only
-    if some block has two or more Y-vertices.
+    one Y-vertex is a star and has rho = sqrt(its degree).
 
-    For n > _DENSE_START_MAX the rows are counted once and B holds only the
-    d distinct nonzero rows, with multiplicities m: B^T B = Bd^T diag(m) Bd,
-    so a large block's product is ((Bb v) * m) Bb, a small block forms
-    (Bb^T * m) Bb, and a star's degree is its bit's count.  The iterates are
-    those of the full B up to rounding, and the certificate is unchanged.
-    For n <= _DENSE_START_MAX the rows are used as they are.
+    For n <= _DENSE_START_MAX the rows are used as they are.  With Bb the
+    block's columns of B, a block of at most _DENSE_START_MAX Y-vertices
+    forms its s x s Gram matrix Bb^T Bb, starts from |top eigenvector of
+    eigh| of it (or from all-ones if that has an entry <= 0), and takes each
+    product as one s x s matrix-vector product on it.
+
+    For n > _DENSE_START_MAX the rows are counted once: Bd holds the d
+    distinct nonzero rows and m_x their multiplicities, B^T B = Bd^T
+    diag(m_x) Bd, and a star's degree is its bit's count.  Each block's
+    Y-vertices are split into twin classes (equal columns), giving up past
+    _DENSE_START_MAX classes (_twin_quotient).  A block with at most that
+    many classes takes its c x c quotient G = Bq^T diag(m_x) Bq over one
+    column per class, with class sizes m_y: for the class-constant vector
+    with class values v, M maps it to the class-constant vector with values
+    w = G (m_y * v), so the block starts from the Perron vector of the
+    symmetric diag(sqrt m_y) G diag(sqrt m_y), divided by sqrt m_y, and
+    iterates on class vectors with the bounds (m_y * v).w / (m_y * v).v
+    and max_i w_i / v_i, exactly the bounds above at the full n-long
+    iterate.  It never builds B.  A block of one class is complete
+    bipartite, K_{a,b} with a = G[0, 0] and b = m_y[0], and has rho^2 = a b
+    exactly, like a star.  A block with more classes builds B over the
+    distinct rows, starts from all-ones and never forms its Gram matrix:
+    one product is ((Bb v) * m_x) Bb, two d x s matrix-vector products.
 
     Reports value = the certified lower end (it overshoots rho only by
     float64 rounding; see bracket_contains), residual = the certified
@@ -145,7 +165,9 @@ def spectral_radius(
     b = None
     lo = hi = 0.0
     iterations = 0
-    for block in _y_components(rows):
+    blocks = _y_components(rows)
+    block_rows = {} if weights is None else _rows_of_blocks(blocks, rows)
+    for block in blocks:
         size = block.bit_count()
         if size == 1:  # one Y-vertex: a star, rho^2 = its degree
             if multiplicity is None:
@@ -154,26 +176,43 @@ def spectral_radius(
             degree = multiplicity[block]
             lo, hi = max(lo, degree), max(hi, degree)
             continue
-        if b is None:
-            b = _biadjacency(rows, n)
-        bb = b if size == n else b[:, list(_bits(block))]
-        gram = v = None
-        if size <= _DENSE_START_MAX:
-            gram = bb.T.dot(bb) if weights is None else (bb.T * weights).dot(bb)
-            perron = np.abs(np.linalg.eigh(gram)[1][:, -1])
-            if min(perron.tolist()) > 0:
-                v = perron
-        if v is None:
-            v = np.ones(size)
+        gram = y_sizes = perron = None
+        if weights is not None:
+            quotient = _twin_quotient(block, block_rows.get(block, rows), multiplicity)
+            if quotient is not None:
+                gram, y_sizes = quotient
+                if len(y_sizes) == 1:  # one class: complete bipartite, rho^2 = a b
+                    square = float(gram[0, 0] * y_sizes[0])
+                    lo, hi = max(lo, square), max(hi, square)
+                    continue
+                # G diag(m_y) is similar to the symmetric diag(sqrt m_y) G
+                # diag(sqrt m_y), whose Perron vector u gives v = u / sqrt m_y
+                root = np.sqrt(y_sizes)
+                perron = np.abs(np.linalg.eigh(gram * np.outer(root, root))[1][:, -1]) / root
+                gram = gram * y_sizes
+        if gram is None:
+            if b is None:
+                b = _biadjacency(rows, n)
+            bb = b if size == n else b[:, list(_bits(block))]
+            if weights is None:  # n <= _DENSE_START_MAX, so the block is small too
+                gram = bb.T.dot(bb)
+                perron = np.abs(np.linalg.eigh(gram)[1][:, -1])
+        if perron is not None and min(perron.tolist()) > 0:
+            v = perron
+        else:
+            v = np.ones(size if y_sizes is None else len(y_sizes))
         gap = math.inf
         for _ in range(max_iterations - iterations):
             iterations += 1
             # matmul takes B's strided column view as it is; .dot would copy
-            # it whole on every call.  A block without its Gram matrix has
+            # it whole on every call.  A block without a Gram matrix has
             # more than _DENSE_START_MAX Y-vertices, so n does too and its
             # rows carry weights.
             w = ((bb @ v) * weights) @ bb if gram is None else gram.dot(v)
-            c_lo = v.dot(w) / v.dot(v)
+            # on a twin quotient v and w hold one entry per class, and the
+            # full iterates repeat each m_y times
+            mv = v if y_sizes is None else y_sizes * v
+            c_lo = mv.dot(w) / mv.dot(v)
             # builtin max over a list: on the few-vertex blocks of typical
             # calls a numpy reduction costs more than the product itself
             c_hi = max((w / v).tolist())
@@ -193,6 +232,69 @@ def spectral_radius(
         iterations=iterations,
         residual=max(math.sqrt(hi) - math.sqrt(lo), 0.0),
     )
+
+
+def _rows_of_blocks(blocks: list[int], rows: tuple[int, ...]) -> dict[int, list[int]]:
+    """The rows inside each block of two or more Y-vertices, when there are
+    several such blocks; empty when there is at most one, whose rows
+    _twin_quotient then picks out of all of them itself.
+
+    Each row lies inside one block, found from its lowest Y-vertex, so the
+    rows are grouped in one pass instead of one pass for every block.
+    """
+    multi = [block for block in blocks if block & (block - 1)]
+    if len(multi) < 2:
+        return {}
+    owner = {y: block for block in multi for y in _bits(block)}
+    grouped: dict[int, list[int]] = {block: [] for block in multi}
+    for row in rows:
+        block = owner.get((row & -row).bit_length() - 1)
+        if block is not None:
+            grouped[block].append(row)
+    return grouped
+
+
+def _twin_quotient(
+    block: int, rows: Iterable[int], multiplicity: Counter
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The quotient of a block of B^T B by its Y-twin classes, or None if
+    the block has more than _DENSE_START_MAX classes.
+
+    rows holds distinct nonzero X-rows, among them every row inside the
+    block (the others are skipped), and multiplicity maps each to its
+    count m_x.  Y-vertices
+    with equal columns (twins) form an equitable partition of B^T B (Brouwer
+    and Haemers, Spectra of Graphs, sec. 2.3).  The classes start as the
+    block and are split by each row that meets it, as bitsets; the split
+    stops as soon as there are too many.  Returns (G, m_y): G = Bq^T
+    diag(m_x) Bq over one column Bq per class (exact integers in float64)
+    and m_y the class sizes, so B^T B (P v) = P (G (m_y * v)) for the 0/1
+    class indicator matrix P.
+    """
+    classes = [block]
+    inside_rows = []
+    for row in rows:
+        if not row & block:
+            continue  # a row that meets the block lies inside it
+        inside_rows.append(row)
+        count = len(classes)
+        split = []
+        for members in classes:
+            inside = members & row
+            if inside and inside != members:
+                count += 1
+                if count > _DENSE_START_MAX:
+                    return None
+                split += (inside, members ^ inside)
+            else:
+                split.append(members)
+        classes = split
+    classes.sort()  # by position, so the quotient does not depend on the row order
+    reps = [(members & -members).bit_length() - 1 for members in classes]
+    bq = np.array([[row >> rep & 1 for rep in reps] for row in inside_rows], np.float64)
+    counts = np.array([multiplicity[row] for row in inside_rows], np.float64)
+    sizes = np.array([members.bit_count() for members in classes], np.float64)
+    return (bq.T * counts).dot(bq), sizes
 
 
 # Row i holds the bits of byte value i, least significant first, as float64.
@@ -271,58 +373,12 @@ def _y_components(x_rows: tuple[int, ...]) -> list[int]:
     return list(blocks.values())
 
 
-@dataclass(frozen=True)
-class QuotientMatrix4:
-    """4x4 equitable quotient matrix over the blocks (X1, X2, Y1, Y2)."""
-
-    entries: tuple[tuple[float, ...], ...]
-    partition_sizes: tuple[int, int, int, int]
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.entries, dtype=float)
-
-    def char_poly_coeffs(self) -> tuple[float, float]:
-        """(c2, c0) of the biquadratic characteristic polynomial
-        x^4 - c2 x^2 + c0."""
-        m = self.as_array()
-        upper = m[:2, 2:]
-        lower = m[2:, :2]
-        prod = upper @ lower
-        return float(np.trace(prod)), float(np.linalg.det(prod))
-
-
-def quotient_matrix(params: ExtremalParams) -> QuotientMatrix4:
-    """Quotient matrix of build_join(params); p = k gives the extremal graph's."""
-    n, k, p = params.n, params.k, params.p
-    b = n + k - p - 1
-    entries = (
-        (0.0, 0.0, float(b), float(p - k + 1)),
-        (0.0, 0.0, float(b), 0.0),
-        (float(p - 1), float(n - p + 1), 0.0, 0.0),
-        (float(p - 1), 0.0, 0.0, 0.0),
-    )
-    return QuotientMatrix4(entries, (p - 1, n - p + 1, b, p - k + 1))
-
-
 def biquadratic_coeffs(n: int, k: int, p: int) -> tuple[int, int]:
     """Exact (c2, c0) of the characteristic polynomial x^4 - c2 x^2 + c0 of
     build_join's quotient matrix; p = k gives the extremal graph B_{n,k}:
     c2 = n(n+k-p-1) + (p-1)(p-k+1), c0 = (n+k-p-1)(p-k+1)(n-p+1)(p-1)."""
     b = n + k - p - 1
     return n * b + (p - 1) * (p - k + 1), b * (p - k + 1) * (n - p + 1) * (p - 1)
-
-
-def extremal_charpoly(n: int, k: int, x: float) -> float:
-    """Characteristic polynomial of the extremal graph's quotient matrix:
-    x^4 - [n(n-1) + (k-1)] x^2 + (n-1)(n-k+1)(k-1)."""
-    c2, c0 = biquadratic_coeffs(n, k, k)
-    return x**4 - c2 * x**2 + c0
-
-
-def join_charpoly(params: ExtremalParams, x: float) -> float:
-    """Characteristic polynomial of the join graph's quotient matrix."""
-    c2, c0 = biquadratic_coeffs(params.n, params.k, params.p)
-    return x**4 - c2 * x**2 + c0
 
 
 def largest_biquadratic_root(c2: float, c0: float) -> float:

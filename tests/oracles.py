@@ -1,11 +1,17 @@
 """Brute-force oracles the tests compare the library against: k-factor
 existence, rainbow perfect matchings and family automorphisms, all by plain
-enumeration, and connected components by breadth-first search."""
+enumeration, connected components by breadth-first search, and the 4x4
+equitable quotient matrix of the join graphs with its characteristic
+polynomial, against which the library's integer coefficients are checked."""
 
 from collections import Counter, deque
+from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
-from rfl.graphs import BipartiteGraph, Edge
+import numpy as np
+
+from rfl.graphs import BipartiteGraph, Edge, ExtremalParams
+from rfl.spectral import biquadratic_coeffs
 
 
 def brute_force_k_factor_exists(g: BipartiteGraph, k: int) -> bool:
@@ -103,3 +109,49 @@ def bfs_y_components(g: BipartiteGraph) -> list[int]:
                     queue.append(w)
         blocks.append(block)
     return blocks
+
+
+@dataclass(frozen=True)
+class QuotientMatrix4:
+    """4x4 equitable quotient matrix over the blocks (X1, X2, Y1, Y2)."""
+
+    entries: tuple[tuple[float, ...], ...]
+    partition_sizes: tuple[int, int, int, int]
+
+    def as_array(self) -> np.ndarray:
+        return np.array(self.entries, dtype=float)
+
+    def char_poly_coeffs(self) -> tuple[float, float]:
+        """(c2, c0) of the biquadratic characteristic polynomial
+        x^4 - c2 x^2 + c0."""
+        m = self.as_array()
+        upper = m[:2, 2:]
+        lower = m[2:, :2]
+        prod = upper @ lower
+        return float(np.trace(prod)), float(np.linalg.det(prod))
+
+
+def quotient_matrix(params: ExtremalParams) -> QuotientMatrix4:
+    """Quotient matrix of build_join(params); p = k gives the extremal graph's."""
+    n, k, p = params.n, params.k, params.p
+    b = n + k - p - 1
+    entries = (
+        (0.0, 0.0, float(b), float(p - k + 1)),
+        (0.0, 0.0, float(b), 0.0),
+        (float(p - 1), float(n - p + 1), 0.0, 0.0),
+        (float(p - 1), 0.0, 0.0, 0.0),
+    )
+    return QuotientMatrix4(entries, (p - 1, n - p + 1, b, p - k + 1))
+
+
+def extremal_charpoly(n: int, k: int, x: float) -> float:
+    """Characteristic polynomial of the extremal graph's quotient matrix:
+    x^4 - [n(n-1) + (k-1)] x^2 + (n-1)(n-k+1)(k-1)."""
+    c2, c0 = biquadratic_coeffs(n, k, k)
+    return x**4 - c2 * x**2 + c0
+
+
+def join_charpoly(params: ExtremalParams, x: float) -> float:
+    """Characteristic polynomial of the join graph's quotient matrix."""
+    c2, c0 = biquadratic_coeffs(params.n, params.k, params.p)
+    return x**4 - c2 * x**2 + c0

@@ -21,19 +21,21 @@ from rfl.graphs import (
 
 def brute_force_isomorphic_to_extremal(g: BipartiteGraph, n: int, k: int) -> bool:
     """Oracle: try every part-preserving permutation, with and without the
-    X/Y swap.  Only usable for n <= 5."""
+    X/Y swap.  A permutation of X only reorders the X-rows, so each
+    permutation of Y is tried once and the sorted rows compared with the
+    target's.  Only usable for n <= 6."""
     if g.n != n:
         return False
-    target = build_extremal(n, k).edge_set()
+    target = build_extremal(n, k)
+    target_rows = sorted(target.x_rows)
     for cand in (g, g.transposed()):
-        if cand.edge_count() != len(target):
+        if cand.edge_count() != target.edge_count():
             continue
-        for px in permutations(range(1, n + 1)):
-            for py in permutations(range(n + 1, 2 * n + 1)):
-                perm = {i + 1: px[i] for i in range(n)}
-                perm.update({n + 1 + j: py[j] for j in range(n)})
-                if cand.relabeled(perm).edge_set() == target:
-                    return True
+        row_bits = [[j for j in range(n) if row >> j & 1] for row in cand.x_rows]
+        for py in permutations(range(n)):
+            rows = sorted(sum(1 << py[j] for j in bits) for bits in row_bits)
+            if rows == target_rows:
+                return True
     return False
 
 

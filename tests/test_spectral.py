@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -20,20 +21,18 @@ from rfl.spectral import (
     InconsistencyError,
     SpectralReport,
     _sqrt_diff_sign,
+    _twin_quotient,
     _y_components,
     biquadratic_coeffs,
     bracket_contains,
-    extremal_charpoly,
     extremal_spectral_radius,
-    join_charpoly,
     join_margin,
     largest_biquadratic_root,
-    quotient_matrix,
     quotient_spectral_radius,
     spectral_radius,
 )
 from tests.conftest import random_graph
-from tests.oracles import bfs_y_components
+from tests.oracles import bfs_y_components, extremal_charpoly, join_charpoly, quotient_matrix
 
 # largest root of x^4 - 13x^2 + 9, via x^2 = (13 + sqrt(133))/2
 RHO_B_4_2 = 3.502325127302632
@@ -46,6 +45,12 @@ def path_graph(m: int) -> BipartiteGraph:
     return BipartiteGraph.from_edges(
         m, [(i, m + i) for i in range(1, m + 1)] + [(i + 1, m + i) for i in range(1, m)]
     )
+
+
+def staircase(n: int) -> BipartiteGraph:
+    """X-vertex i is adjacent to the first i Y-vertices: no two Y-vertices
+    (or X-vertices) are twins, and the graph is connected."""
+    return BipartiteGraph(n, tuple((1 << i) - 1 for i in range(1, n + 1)))
 
 
 def assert_bracket_contains(g: BipartiteGraph, report) -> None:
@@ -168,6 +173,13 @@ class TestPowerIteration:
         assert fallback == from_ones
         assert fallback.iterations > 1
         assert_bracket_contains(g, fallback)
+        # a twin quotient falls back to the class vector of all-ones, the
+        # full all-ones start, and takes the 4 products the matrix-free loop
+        # takes from it (test_iteration_counts_pinned)
+        g = build_extremal(100, 3)
+        fallback = spectral_radius(g)
+        assert fallback.iterations == 4
+        assert_bracket_contains(g, fallback)
 
     def test_slow_top_component_beside_small_one(self):
         # a path on 40 vertices (rho = 2 cos(pi/41)) beside a path on 4
@@ -224,20 +236,34 @@ class TestPowerIteration:
         assert sampled == 214
 
     @pytest.mark.parametrize(
-        "n, k, p, iterations",
+        "n, k, p, matrix_free",
         [(100, 3, 3, 4), (300, 4, 4, 3), (1000, 2, 2, 3), (100, 3, 33, 12), (300, 4, 100, 12)],
     )
-    def test_iteration_counts_pinned(self, n, k, p, iterations):
+    def test_iteration_counts_pinned(self, n, k, p, matrix_free, monkeypatch):
         # the benchmark's work count sums these; a change to the product or
-        # the stopping rule must not move them unseen (p = k: the extremal graph)
+        # the stopping rule must not move them unseen (p = k: the extremal
+        # graph).  Each graph has two Y-twin classes, so its block closes in
+        # one product on the class quotient; with the quotient refused, as
+        # for a block of more than _DENSE_START_MAX classes, the matrix-free
+        # loop from all-ones takes matrix_free products
+        import rfl.spectral
+
         g = build_extremal(n, k) if p == k else build_join(ExtremalParams(n, k, p))
-        assert spectral_radius(g).iterations == iterations
+        assert spectral_radius(g).iterations == 1
+        monkeypatch.setattr(rfl.spectral, "_twin_quotient", lambda *args: None)
+        assert spectral_radius(g).iterations == matrix_free
+
+    def test_iteration_counts_of_twin_free_blocks_pinned(self):
+        # no twins: these blocks refuse the quotient and run matrix-free
+        assert spectral_radius(staircase(300)).iterations == 14
+        assert spectral_radius(path_graph(40)).iterations == 2463
 
     def test_no_gram_matrix_of_a_large_block(self):
-        # B alone takes n^2 float64 entries; a formed n x n Gram matrix
-        # B^T B would double the peak
+        # B alone takes n^2 float64 entries (the staircase has n distinct
+        # rows and no twins); a formed n x n Gram matrix B^T B would double
+        # the peak
         n = 600
-        g = build_extremal(n, 2)
+        g = staircase(n)
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
@@ -306,8 +332,9 @@ class TestPowerIteration:
             )
 
     def test_iteration_cap_raises(self):
-        # 20 Y-vertices in one block: above the dense-start limit
-        g = build_extremal(20, 2)
+        # 20 Y-vertices in one block without twins: above the dense-start
+        # limit, both in vertices and in classes
+        g = path_graph(20)
         with pytest.raises(ConvergenceError):
             spectral_radius(g, tol=1e-16, max_iterations=3)
 
@@ -336,6 +363,151 @@ class TestPowerIteration:
                 spectral_radius(g.with_edge(x, y)).value
                 >= spectral_radius(g).value - 1e-9
             )
+
+
+class TestTwinQuotient:
+    @staticmethod
+    def from_columns(n: int, columns: list[int]) -> BipartiteGraph:
+        """The graph whose Y-vertex j has the X-neighbours in columns[j]."""
+        return BipartiteGraph(
+            n, tuple(sum(1 << j for j, col in enumerate(columns) if col >> i & 1) for i in range(n))
+        )
+
+    @staticmethod
+    def quotients(g: BipartiteGraph) -> list:
+        """_twin_quotient of each block of two or more Y-vertices."""
+        count = Counter(g.x_rows)
+        count.pop(0, None)
+        return [
+            _twin_quotient(block, tuple(count), count)
+            for block in _y_components(tuple(count))
+            if block.bit_count() > 1
+        ]
+
+    def test_twin_rich_graphs_against_dense_and_relabelings(self, rng):
+        # each Y-vertex takes its column from a small pool; in half the
+        # graphs each pool column lies within one of two halves of X, so
+        # that there are often two blocks.  Pools of at most
+        # _DENSE_START_MAX columns give quotient blocks, larger pools also
+        # blocks with too many classes, which run matrix-free
+        taken = refused = 0
+        for trial in range(60):
+            n = int(rng.integers(_DENSE_START_MAX + 1, 65))
+            split = int(rng.integers(1, n))
+            pool = []
+            for _ in range(int(rng.integers(1, 3 * _DENSE_START_MAX))):
+                lo, hi = (0, n) if trial % 2 else (0, split) if rng.random() < 0.5 else (split, n)
+                picks = rng.random(hi - lo) < 0.2 + 0.6 * float(rng.random())
+                pool.append(sum(1 << i for i in range(lo, hi) if picks[i - lo]))
+            columns = [pool[int(i)] for i in rng.integers(0, len(pool), n)]
+            g = self.from_columns(n, columns)
+            quotients = self.quotients(g)
+            taken += sum(q is not None for q in quotients)
+            refused += sum(q is None for q in quotients)
+            report = spectral_radius(g)
+            assert_bracket_contains(g, report)
+            rows = g.x_rows
+            perm = [int(i) for i in rng.permutation(n)]
+            for other in (
+                BipartiteGraph(n, tuple(rows[i] for i in perm)),
+                self.from_columns(n, [columns[j] for j in perm]),
+            ):
+                relabeled = spectral_radius(other)
+                assert relabeled.iterations == report.iterations, trial
+                assert bracket_contains(report, relabeled.value, n), trial
+            assert bracket_contains(report, spectral_radius(g.transposed()).value, n), trial
+        assert taken > 20 and refused > 5
+
+    def test_row_order_leaves_the_quotient_unchanged(self, rng):
+        # classes are taken in Y order and G holds exact integers, so a
+        # graph whose blocks all have few classes gives the same report,
+        # bit for bit, in any row order
+        for _ in range(10):
+            n = int(rng.integers(_DENSE_START_MAX + 1, 65))
+            c = int(rng.integers(3, _DENSE_START_MAX + 1))
+            label = rng.integers(0, c, n)
+            classes = [sum(1 << j for j in range(n) if label[j] == i) for i in range(c)]
+            pool = [sum(classes)] + [
+                sum(cl for cl, pick in zip(classes, rng.random(c) < 0.5) if pick) for _ in range(8)
+            ]
+            rows = [pool[int(i)] for i in rng.integers(0, len(pool), n)]
+            g = BipartiteGraph(n, tuple(rows))
+            report = spectral_radius(g)
+            assert_bracket_contains(g, report)
+            for _ in range(5):
+                shuffled = BipartiteGraph(n, tuple(rows[int(i)] for i in rng.permutation(n)))
+                assert spectral_radius(shuffled) == report
+
+    def test_first_bracket_is_that_of_the_full_iterate(self, monkeypatch):
+        # with every dense start refused the quotient iterates from the
+        # all-ones class vector; a tolerance that stops after one product
+        # shows its bracket, which must be the Rayleigh and Collatz-Wielandt
+        # bounds of B^T B at the full all-ones vector
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: (eigh(a)[0], np.eye(len(a))))
+        graphs = [build_join(ExtremalParams(n, 3, p)) for n, p in ((17, 5), (40, 13), (64, 40))]
+        graphs.append(self.from_columns(20, [0b111 << (j % 4) for j in range(20)]))
+        for g in graphs:
+            b = np.array([[row >> j & 1 for j in range(g.n)] for row in g.x_rows], float)
+            w = b.T @ (b @ np.ones(g.n))
+            report = spectral_radius(g, tol=1e9)
+            assert report.iterations == 1
+            assert report.value**2 == pytest.approx(w.sum() / g.n, rel=1e-13)
+            assert (report.value + report.residual) ** 2 == pytest.approx(w.max(), rel=1e-13)
+
+    def test_complete_block_is_one_class(self):
+        # K_{20,25} inside n = 30, beside a star and isolated vertices
+        n = 30
+        rows = ((1 << 25) - 1,) * 20 + (1 << 27,) * 4 + (0,) * 6
+        g = BipartiteGraph(n, rows)
+        (gram, sizes), = self.quotients(g)
+        assert gram.tolist() == [[20.0]] and sizes.tolist() == [25.0]
+        report = spectral_radius(g)
+        assert (report.value, report.iterations, report.residual) == (math.sqrt(500), 0, 0.0)
+        assert_bracket_contains(g, report)
+
+    def test_class_limit(self):
+        # column i of the pool is {x_1, x_(i+2)}: one block whose classes
+        # are the pool's columns, at the limit and one past it
+        n = 40
+        for pool_size, quotient in ((_DENSE_START_MAX, True), (_DENSE_START_MAX + 1, False)):
+            pool = [1 | 1 << (i + 1) for i in range(pool_size)]
+            g = self.from_columns(n, [pool[j % pool_size] for j in range(n)])
+            (q,) = self.quotients(g)
+            assert (q is not None) == quotient
+            if quotient:
+                assert sorted(q[1].tolist()) == sorted(
+                    float(len(range(i, n, pool_size))) for i in range(pool_size)
+                )
+            assert_bracket_contains(g, spectral_radius(g))
+        assert self.quotients(staircase(n)) == [None]
+
+    def test_quotient_of_join_graphs_gives_the_biquadratic(self):
+        # two Y-classes; G diag(m_y) is the Y-half of the 4 x 4 equitable
+        # quotient, with characteristic polynomial t^2 - c2 t + c0 in t = x^2
+        for n in (17, 40, 100):
+            for k in (2, 3, 5):
+                for p in sorted({k, k + 1, n // 3, n - 1}):
+                    g = build_extremal(n, k) if p == k else build_join(ExtremalParams(n, k, p))
+                    (gram, sizes), = self.quotients(g)
+                    q = [[int(e) for e in row] for row in gram * sizes]
+                    assert (gram == np.round(gram)).all()
+                    c2, c0 = biquadratic_coeffs(n, k, p)
+                    assert q[0][0] + q[1][1] == c2
+                    assert q[0][0] * q[1][1] - q[0][1] * q[1][0] == c0
+
+    def test_no_biadjacency_for_extremal_and_join_graphs(self, monkeypatch):
+        import rfl.spectral
+
+        def refuse(*args):
+            raise AssertionError("_biadjacency called")
+
+        monkeypatch.setattr(rfl.spectral, "_biadjacency", refuse)
+        n = 1000
+        for k in (2, 3, 5):
+            assert spectral_radius(build_extremal(n, k)).iterations == 1
+            assert spectral_radius(build_join(ExtremalParams(n, k, n // 3))).iterations == 1
+        assert join_margin(ExtremalParams(n, 3, 333)).holds
 
 
 class TestYComponents:
