@@ -22,7 +22,6 @@ from .shifting import shift_family
 from .spectral import (
     ConvergenceError,
     InconsistencyError,
-    join_margin,
     quotient_spectral_radius,
     spectral_radius,
 )
@@ -187,25 +186,30 @@ def _cmd_find_rainbow_factor(args) -> int:
 
 
 def _cmd_margin_grid(args) -> int:
+    """CSV view of the lemma33-grid campaign, one row per case in report
+    order; a case the library could not decide is a false row, its error on
+    stderr."""
+    config = ExperimentConfig(n_range=(4, args.nmax), k_range=(2, args.kmax))
+    report = run_campaign("lemma33-grid", config)
     lines = ["n,k,p,rho_join,rho_B,margin,holds"]
-    all_hold = True
-    for k in range(2, args.kmax + 1):
-        for n in range(2 * k, args.nmax + 1):
-            for p in range(k + 1, n):
-                m = join_margin(ExtremalParams(n, k, p))
-                ok = m.holds and m.sign_ok
-                all_hold &= ok
-                lines.append(
-                    f"{n},{k},{p},{m.rho_join:.10f},{m.rho_extremal:.10f},"
-                    f"{m.margin:.10f},{str(ok).lower()}"
-                )
+    for case in report.cases:
+        nkp = "{n},{k},{p}".format(**case["params"])
+        v = case["values"]
+        if "error" in v:
+            print(f"error: (n,k,p) = ({nkp}): {v['error']}", file=sys.stderr)
+            lines.append(f"{nkp},,,,false")
+        else:
+            lines.append(
+                f"{nkp},{v['rho_join']:.10f},{v['rho_extremal']:.10f},"
+                f"{v['margin']:.10f},{str(case['ok']).lower()}"
+            )
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    return 0 if all_hold else 1
+    return 0 if report.failed == 0 else 1
 
 
 def _cmd_campaign(args) -> int:

@@ -3,7 +3,8 @@
 Each campaign ties one family of claims to a runnable, seeded experiment and
 returns a machine-readable report.  Reports are deterministic given
 (campaign, config): cases are generated from a counter-based RNG stream and
-sorted by parameters; only the wall-time field varies between runs.
+kept in the order they are generated; only the wall-time field varies
+between runs.
 """
 
 from __future__ import annotations
@@ -28,8 +29,9 @@ from .graphs import (
     BipartiteGraph,
     GraphError,
     GraphFamily,
-    build_extremal,
     ExtremalParams,
+    build_extremal,
+    build_join,
     labeled_extremal_copy,
 )
 from .shifting import bi_shift_fixpoint, is_bi_shifted, xy_shift
@@ -40,16 +42,6 @@ from .spectral import (
     extremal_spectral_radius,
     join_margin,
     spectral_radius,
-)
-
-CAMPAIGNS = (
-    "spectral-consistency",
-    "lemma33-grid",
-    "shift-properties",
-    "extremal-absence",
-    "lemma32-construction",
-    "theorem-sample",
-    "claims-audit",
 )
 
 # the errors the library raises on a case it cannot decide; anything else is
@@ -166,25 +158,29 @@ def generate_extremal_variant_family(
 
 def run_campaign(name: str, config: ExperimentConfig) -> CampaignReport:
     """Execute one named campaign; writes the JSON report to
-    config.output_path when set.  A campaign that checked no case is an
-    error, not a pass."""
-    runners = {
-        "spectral-consistency": _campaign_spectral_consistency,
-        "lemma33-grid": _campaign_margin_grid,
-        "shift-properties": _campaign_shift_properties,
-        "extremal-absence": _campaign_extremal_absence,
-        "lemma32-construction": _campaign_construction,
-        "theorem-sample": _campaign_theorem_sample,
-        "claims-audit": _campaign_claims_audit,
-    }
-    if name not in runners:
+    config.output_path when set.
+
+    Cases keep the order in which the campaign generates them.  A failed
+    case also carries the seed, the config and its serialized instance, so
+    that it can be replayed on its own.  A campaign that checked no case is
+    an error, not a pass."""
+    if name not in _RUNNERS:
         raise GraphError(f"unknown campaign {name!r}; choose from {', '.join(CAMPAIGNS)}")
     started = time.perf_counter()
     report = CampaignReport(campaign=name, config=_config_dict(config))
-    runners[name](config, report)
+    for params, values, ok, instance in _RUNNERS[name](config):
+        case = {"params": params, "values": values, "ok": ok}
+        if not ok:
+            case["seed"] = config.seed
+            case["config"] = report.config
+            case["instance"] = (
+                fileio.format_family(instance)
+                if isinstance(instance, GraphFamily)
+                else fileio.format_graph(instance)
+            )
+        report.cases.append(case)
     if not report.cases:
-        raise GraphError(f"campaign {name!r} checked no cases with config {_config_dict(config)}")
-    report.cases.sort(key=lambda c: json.dumps(c["params"], sort_keys=True))
+        raise GraphError(f"campaign {name!r} checked no cases with config {report.config}")
     report.wall_time_s = round(time.perf_counter() - started, 3)
     if config.output_path:
         with open(config.output_path, "w") as fh:
@@ -212,51 +208,67 @@ def _grid(config: ExperimentConfig):
             yield n, k
 
 
-def _campaign_spectral_consistency(config: ExperimentConfig, report: CampaignReport) -> None:
+def _grid_trials(config: ExperimentConfig):
+    """(trial, n, k) for each trial, taking the grid's points in turn; none
+    when the grid is empty."""
+    grid = list(_grid(config))
+    for trial in range(config.trials if grid else 0):
+        yield (trial, *grid[trial % len(grid)])
+
+
+def _grow(g: BipartiteGraph, prob: float, rng: np.random.Generator) -> BipartiteGraph:
+    """g plus each absent edge with probability prob, drawn in (x, y) order."""
+    rows = list(g.x_rows)
+    for i in range(g.n):
+        for j in range(g.n):
+            if not rows[i] >> j & 1 and rng.random() < prob:
+                rows[i] |= 1 << j
+    return BipartiteGraph(g.n, tuple(rows))
+
+
+# Each campaign yields its cases as (params, values, ok, instance), where
+# instance is the graph or family the case checked; run_campaign turns them
+# into report cases.
+
+
+def _campaign_spectral_consistency(config: ExperimentConfig):
     for n, k in _grid(config):
+        g = build_extremal(n, k)
         closed = extremal_spectral_radius(n, k)
-        power = spectral_radius(build_extremal(n, k), tol=config.tol)
-        report.cases.append(
-            {
-                "params": {"n": n, "k": k},
-                "values": {
-                    "rho_closed": closed,
-                    "rho_power": power.value,
-                    "residual": power.residual,
-                    "diff": abs(closed - power.value),
-                },
-                "ok": bracket_contains(power, closed, n),
-            }
-        )
+        power = spectral_radius(g, tol=config.tol)
+        values = {
+            "rho_closed": closed,
+            "rho_power": power.value,
+            "residual": power.residual,
+            "diff": abs(closed - power.value),
+        }
+        yield {"n": n, "k": k}, values, bracket_contains(power, closed, n), g
 
 
-def _campaign_margin_grid(config: ExperimentConfig, report: CampaignReport) -> None:
+def _campaign_margin_grid(config: ExperimentConfig):
     for n, k in _grid(config):
         for p in range(k + 1, n):
             params = ExtremalParams(n, k, p)
-            case: dict[str, Any] = {"params": {"n": n, "k": k, "p": p}}
             try:
                 margin = join_margin(params, tol=config.tol)
             except _LIBRARY_ERRORS as exc:  # a failed case, not a crash
-                case["values"] = {"error": str(exc)}
-                case["ok"] = False
+                values, ok = {"error": str(exc)}, False
             else:
-                case["values"] = {
+                values = {
                     "rho_join": margin.rho_join,
                     "rho_extremal": margin.rho_extremal,
                     "margin": margin.margin,
                     "sign_value": margin.sign_value,
                 }
-                case["ok"] = margin.holds and margin.sign_ok
-            report.cases.append(case)
+                ok = margin.holds and margin.sign_ok
+            yield {"n": n, "k": k, "p": p}, values, ok, build_join(params)
 
 
-def _campaign_shift_properties(config: ExperimentConfig, report: CampaignReport) -> None:
+def _campaign_shift_properties(config: ExperimentConfig):
     rng = make_rng(config.seed)
-    n_lo, n_hi = config.n_range
-    n_hi = min(n_hi, 8)
-    for trial in range(config.trials):
-        n = int(rng.integers(max(2, n_lo), n_hi + 1))
+    n_lo, n_hi = max(2, config.n_range[0]), min(config.n_range[1], 8)
+    for trial in range(config.trials if n_lo <= n_hi else 0):
+        n = int(rng.integers(n_lo, n_hi + 1))
         prob = float(rng.random())
         g = generate_random_bipartite(n, prob, rng)
         rho_g = spectral_radius(g, tol=config.tol).value
@@ -276,40 +288,33 @@ def _campaign_shift_properties(config: ExperimentConfig, report: CampaignReport)
         fixpoint, _trace = bi_shift_fixpoint(g)
         if not is_bi_shifted(fixpoint):
             violations.append("fixpoint is not bi-shifted")
-        case = {
-            "params": {"trial": trial, "n": n, "edge_prob": round(prob, 6)},
-            "values": {"edges": g.edge_count(), "rho": rho_g, "violations": violations},
-            "ok": not violations,
+        params = {"trial": trial, "n": n, "edge_prob": round(prob, 6)}
+        values = {
+            "edges": g.edge_count(),
+            "rho": rho_g,
+            "shifts": len(pairs),
+            "violations": violations,
         }
-        if violations:
-            case["instance"] = fileio.format_graph(g)
-        report.cases.append(case)
+        yield params, values, not violations, g
 
 
-def _campaign_extremal_absence(config: ExperimentConfig, report: CampaignReport) -> None:
-    for n, k in [(4, 2), (5, 2), (6, 2)]:
+def _campaign_extremal_absence(config: ExperimentConfig):
+    for n, k in _grid(config):
         g = build_extremal(n, k)
         family = GraphFamily(n, k, (g,) * (k * n))
         result = rainbow_k_factor_search(family, budget=config.search_budget)
         has_factor = k_factor_exists(g, k)
-        ok = result.status == ABSENT and not has_factor
-        case = {
-            "params": {"n": n, "k": k},
-            "values": {
-                "search_status": result.status,
-                "nodes": result.nodes_visited,
-                "orbit_skips": result.orbit_skips,
-                "automorphisms": result.automorphisms,
-                "k_factor_exists": has_factor,
-            },
-            "ok": ok,
+        values = {
+            "search_status": result.status,
+            "nodes": result.nodes_visited,
+            "orbit_skips": result.orbit_skips,
+            "automorphisms": result.automorphisms,
+            "k_factor_exists": has_factor,
         }
-        if not ok:
-            case["instance"] = fileio.format_family(family)
-        report.cases.append(case)
+        yield {"n": n, "k": k}, values, result.status == ABSENT and not has_factor, family
 
 
-def _campaign_construction(config: ExperimentConfig, report: CampaignReport) -> None:
+def _campaign_construction(config: ExperimentConfig):
     rng = make_rng(config.seed)
     confirm_every = max(1, config.trials // 20)
     for trial in range(config.trials):
@@ -317,7 +322,6 @@ def _campaign_construction(config: ExperimentConfig, report: CampaignReport) -> 
         k = 2
         spec = random_deficiency_spec(n, k, rng)
         family = generate_extremal_variant_family(n, k, spec)
-        case: dict[str, Any] = {"params": {"trial": trial, "n": n, "k": k}}
         try:
             factor = construct_rainbow_factor_extremal(family)
             factor.validate(family)
@@ -330,23 +334,15 @@ def _campaign_construction(config: ExperimentConfig, report: CampaignReport) -> 
         except _LIBRARY_ERRORS as exc:
             values = {"constructed": False, "error": str(exc)}
             ok = False
-        case["values"] = values
-        case["ok"] = ok
-        if not ok:
-            case["instance"] = fileio.format_family(family)
-        report.cases.append(case)
+        yield {"trial": trial, "n": n, "k": k}, values, ok, family
 
 
-def _campaign_theorem_sample(config: ExperimentConfig, report: CampaignReport) -> None:
+def _campaign_theorem_sample(config: ExperimentConfig):
     """Random families meeting the spectral bound, taking the (n, k) points
     of the config's grid in turn: supergraphs of extremal copies, and every
     fifth trial the all-identical extremal family as the known exception."""
     rng = make_rng(config.seed)
-    grid = list(_grid(config))
-    if not grid:
-        return  # run_campaign rejects a campaign that checked no case
-    for trial in range(config.trials):
-        n, k = grid[trial % len(grid)]
+    for trial, n, k in _grid_trials(config):
         rho_min = extremal_spectral_radius(n, k)
         identical = trial % 5 == 0
         if identical:
@@ -354,45 +350,34 @@ def _campaign_theorem_sample(config: ExperimentConfig, report: CampaignReport) -
         else:
             spec = random_deficiency_spec(n, k, rng)
             base = generate_extremal_variant_family(n, k, spec)
-            grown = []
-            for g in base.members:
-                for x in range(1, n + 1):
-                    for y in range(n + 1, 2 * n + 1):
-                        if not g.has_edge(x, y) and rng.random() < 0.2:
-                            g = g.with_edge(x, y)
-                grown.append(g)
-            members = tuple(grown)
+            members = tuple(_grow(g, 0.2, rng) for g in base.members)
         family = GraphFamily(n, k, members)
         certified = all(
             spectral_radius(g, tol=config.tol).value >= rho_min - 1e-9 for g in members
         )
         result = rainbow_k_factor_search(family, budget=config.search_budget)
         expected = ABSENT if identical else FOUND
-        ok = certified and result.status == expected
-        case = {
-            "params": {"trial": trial, "n": n, "k": k, "identical": identical},
-            "values": {
-                "certified": certified,
-                "search_status": result.status,
-                "expected": expected,
-                "nodes": result.nodes_visited,
-                "orbit_skips": result.orbit_skips,
-                "automorphisms": result.automorphisms,
-            },
-            "ok": ok,
+        values = {
+            "certified": certified,
+            "search_status": result.status,
+            "expected": expected,
+            "nodes": result.nodes_visited,
+            "orbit_skips": result.orbit_skips,
+            "automorphisms": result.automorphisms,
         }
-        if not ok:
-            case["instance"] = fileio.format_family(family)
-        report.cases.append(case)
+        params = {"trial": trial, "n": n, "k": k, "identical": identical}
+        yield params, values, certified and result.status == expected, family
 
 
-def _campaign_claims_audit(config: ExperimentConfig, report: CampaignReport) -> None:
+def _campaign_claims_audit(config: ExperimentConfig):
+    """Families of extremal copies and bi-shifted supergraphs of them,
+    taking the (n, k) points of the config's grid in turn, audited against
+    the extremal radius."""
     rng = make_rng(config.seed)
-    n, k = 5, 2
-    threshold = extremal_spectral_radius(n, k)
-    canonical = build_extremal(n, k)
-    mirrored = labeled_extremal_copy(n, k, n, tuple(range(n + 1, n + k)))
-    for trial in range(config.trials):
+    for trial, n, k in _grid_trials(config):
+        threshold = extremal_spectral_radius(n, k)
+        canonical = build_extremal(n, k)
+        mirrored = labeled_extremal_copy(n, k, n, tuple(range(n + 1, n + k)))
         members = []
         for _ in range(k * n):
             kind = int(rng.integers(0, 3))
@@ -401,26 +386,23 @@ def _campaign_claims_audit(config: ExperimentConfig, report: CampaignReport) -> 
             elif kind == 1:
                 members.append(mirrored)
             else:
-                g = canonical
-                for x in range(1, n + 1):
-                    for y in range(n + 1, 2 * n + 1):
-                        if not g.has_edge(x, y) and rng.random() < 0.3:
-                            g = g.with_edge(x, y)
-                fixed, _ = bi_shift_fixpoint(g)
-                members.append(fixed)
+                members.append(bi_shift_fixpoint(_grow(canonical, 0.3, rng))[0])
         family = GraphFamily(n, k, tuple(members))
         audit = audit_shifted_family(family, threshold, tol=config.tol)
-        ok = not audit.violations
-        case = {
-            "params": {"trial": trial, "n": n, "k": k},
-            "values": {
-                "members_meeting_threshold": sum(
-                    1 for m in audit.members if m.meets_threshold
-                ),
-                "violations": [m.index for m in audit.violations],
-            },
-            "ok": ok,
+        values = {
+            "members_meeting_threshold": sum(1 for m in audit.members if m.meets_threshold),
+            "violations": [m.index for m in audit.violations],
         }
-        if not ok:
-            case["instance"] = fileio.format_family(family)
-        report.cases.append(case)
+        yield {"trial": trial, "n": n, "k": k}, values, not audit.violations, family
+
+
+_RUNNERS = {
+    "spectral-consistency": _campaign_spectral_consistency,
+    "lemma33-grid": _campaign_margin_grid,
+    "shift-properties": _campaign_shift_properties,
+    "extremal-absence": _campaign_extremal_absence,
+    "lemma32-construction": _campaign_construction,
+    "theorem-sample": _campaign_theorem_sample,
+    "claims-audit": _campaign_claims_audit,
+}
+CAMPAIGNS = tuple(_RUNNERS)

@@ -408,7 +408,7 @@ def _root_sign(c2: int, c0: int, y: float) -> int:
     return (f < 0) - (f > 0)
 
 
-def quotient_spectral_radius(params: ExtremalParams, method: str = "closed") -> SpectralReport:
+def quotient_spectral_radius(params: ExtremalParams) -> SpectralReport:
     """Spectral radius of build_join(params) from its quotient matrix.
 
     value is the closed form, stepped down by ulps until it is at most the
@@ -416,8 +416,6 @@ def quotient_spectral_radius(params: ExtremalParams, method: str = "closed") -> 
     0) that puts the root in [value, value + residual]; both ends are
     decided by exact integer sign checks (_root_sign).
     """
-    if method != "closed":
-        raise GraphError(f"unknown quotient method {method!r}")
     c2, c0 = biquadratic_coeffs(params.n, params.k, params.p)
     value = largest_biquadratic_root(c2, c0)
     while _root_sign(c2, c0, value) < 0:
@@ -446,7 +444,7 @@ def bracket_contains(report: SpectralReport, rho: float, n: int) -> bool:
     n = 1000 and 81 at n = 2000, so no fixed few-ulp slack would do.
     """
     slack = n * np.finfo(float).eps * rho
-    return report.value - slack <= rho <= report.value + report.residual + slack
+    return bool(report.value - slack <= rho <= report.value + report.residual + slack)
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,19 @@
 """Brute-force oracles the tests compare the library against: k-factor
 existence, rainbow perfect matchings and family automorphisms, all by plain
-enumeration, connected components by breadth-first search, and the 4x4
+enumeration, connected components by breadth-first search, the 4x4
 equitable quotient matrix of the join graphs with its characteristic
-polynomial, against which the library's integer coefficients are checked."""
+polynomial, against which the library's integer coefficients are checked,
+and the complete-block, quasi-complement and bowtie-join builders that
+compose the extremal and join graphs the library writes row by row."""
 
 from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
+from typing import Iterable
 
 import numpy as np
 
-from rfl.graphs import BipartiteGraph, Edge, ExtremalParams
+from rfl.graphs import BipartiteGraph, Edge, ExtremalParams, GraphError
 from rfl.spectral import biquadratic_coeffs
 
 
@@ -155,3 +158,66 @@ def join_charpoly(params: ExtremalParams, x: float) -> float:
     """Characteristic polynomial of the join graph's quotient matrix."""
     c2, c0 = biquadratic_coeffs(params.n, params.k, params.p)
     return x**4 - c2 * x**2 + c0
+
+
+def build_complete_bipartite(
+    a: int, b: int, x_offset: int, y_offset: int, n: int
+) -> BipartiteGraph:
+    """All edges between X-vertices x_offset+1..x_offset+a and Y-vertices
+    n+y_offset+1..n+y_offset+b, inside half-order n."""
+    if a < 0 or b < 0 or x_offset < 0 or y_offset < 0:
+        raise GraphError("sizes and offsets must be nonnegative")
+    if x_offset + a > n or y_offset + b > n:
+        raise GraphError(f"block ({a},{b}) at offsets ({x_offset},{y_offset}) leaves 1..{n}")
+    block = ((1 << b) - 1) << y_offset
+    rows = [0] * n
+    for i in range(x_offset, x_offset + a):
+        rows[i] = block
+    return BipartiteGraph(n, tuple(rows))
+
+
+def quasi_complement(g: BipartiteGraph) -> BipartiteGraph:
+    """Bipartite complement: {x,y} is an edge iff it is not an edge of g."""
+    full = (1 << g.n) - 1
+    return BipartiteGraph(g.n, tuple(row ^ full for row in g.x_rows))
+
+
+def bowtie_join(
+    g1: BipartiteGraph,
+    g2: BipartiteGraph,
+    x1: Iterable[int],
+    y1: Iterable[int],
+) -> BipartiteGraph:
+    """Join g1 (on parts X1, Y1) with g2 (on the complementary parts).
+
+    Both graphs live on the common vertex set [2n]; g1's edges must stay
+    inside X1 x Y1 and g2's inside X2 x Y2.  The result is their union plus
+    every cross edge X1 x Y2 and X2 x Y1.
+    """
+    n = g1.n
+    if g2.n != n:
+        raise GraphError(f"half-orders differ: {g1.n} vs {g2.n}")
+    x1_bits = _vertex_bits(x1, 1, n)
+    y1_bits = _vertex_bits(y1, n + 1, 2 * n)
+    full = (1 << n) - 1
+    y2_bits = full & ~y1_bits
+    for i in range(n):
+        in_x1 = bool(x1_bits >> i & 1)
+        if g1.x_rows[i] & ~(y1_bits if in_x1 else 0):
+            raise GraphError(f"g1 has an edge at X-vertex {i + 1} outside X1 x Y1")
+        if g2.x_rows[i] & ~(0 if in_x1 else y2_bits):
+            raise GraphError(f"g2 has an edge at X-vertex {i + 1} outside X2 x Y2")
+    rows = []
+    for i in range(n):
+        cross = y2_bits if (x1_bits >> i & 1) else y1_bits
+        rows.append(g1.x_rows[i] | g2.x_rows[i] | cross)
+    return BipartiteGraph(n, tuple(rows))
+
+
+def _vertex_bits(vertices: Iterable[int], lo: int, hi: int) -> int:
+    mask = 0
+    for v in vertices:
+        if not (lo <= v <= hi):
+            raise GraphError(f"vertex {v} outside part range {lo}..{hi}")
+        mask |= 1 << (v - lo)
+    return mask

@@ -7,16 +7,14 @@ from rfl.graphs import (
     BipartiteGraph,
     ExtremalParams,
     GraphError,
-    bowtie_join,
-    build_complete_bipartite,
     build_extremal,
     build_join,
     extremal_signature,
     induced_delete_vertex,
     is_extremal_isomorphic,
     labeled_extremal_copy,
-    quasi_complement,
 )
+from tests.oracles import bowtie_join, build_complete_bipartite, quasi_complement
 
 
 def brute_force_isomorphic_to_extremal(g: BipartiteGraph, n: int, k: int) -> bool:

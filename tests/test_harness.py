@@ -71,6 +71,24 @@ class TestExtremalVariantFamily:
             generate_extremal_variant_family(4, 2, [(8, (5,))] * 8)  # 5 is in Y
 
 
+class TestGrow:
+    def test_same_draws_as_adding_edges_one_at_a_time(self):
+        # one draw per absent edge, in (x, y) order: the stream the
+        # campaigns' grown members were drawn from
+        from rfl.harness import _grow
+
+        rng, ref_rng = make_rng(4), make_rng(4)
+        for g in (build_extremal(5, 2), BipartiteGraph.empty(4), generate_random_bipartite(6, 0.5, 9)):
+            for prob in (0.2, 0.3):
+                ref = g
+                for x in range(1, g.n + 1):
+                    for y in range(g.n + 1, 2 * g.n + 1):
+                        if not ref.has_edge(x, y) and ref_rng.random() < prob:
+                            ref = ref.with_edge(x, y)
+                assert _grow(g, prob, rng) == ref
+        assert rng.random() == ref_rng.random()
+
+
 class TestFileFormats:
     def test_graph_golden_format(self):
         g = BipartiteGraph.from_edges(2, [(1, 3), (2, 4)])
@@ -130,6 +148,7 @@ class TestCampaigns:
             report = run_campaign(name, config)
             assert report.failed == 0, f"{name} failed cases"
             assert report.cases
+            assert json.loads(report.to_json())["summary"]["passed"] == len(report.cases)
 
     def test_spectral_consistency_requires_closed_form_in_bracket(self, monkeypatch):
         # a power value 1e-9 off the closed form passed the old 1e-7
@@ -150,6 +169,9 @@ class TestCampaigns:
         monkeypatch.setattr(rfl.harness, "spectral_radius", shifted)
         report = run_campaign("spectral-consistency", config)
         assert report.passed == 0 and report.failed == len(report.cases) == 3
+        for case in report.cases:
+            n, k = case["params"]["n"], case["params"]["k"]
+            assert fileio.parse_graph(case["instance"]) == build_extremal(n, k)
 
     def test_report_deterministic_modulo_wall_time(self):
         config = ExperimentConfig(seed=11, trials=6, n_range=(2, 5))
@@ -159,13 +181,30 @@ class TestCampaigns:
         b["summary"].pop("wall_time_s")
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
+    @pytest.mark.parametrize("n_range", [(10, 12), (1, 1)])
+    def test_shift_properties_outside_its_sizes_checks_nothing(self, n_range):
+        # it draws n from 2..8 inside the range; an empty draw range is a
+        # campaign that checked nothing, not a numpy traceback
+        with pytest.raises(GraphError, match="no cases"):
+            run_campaign("shift-properties", ExperimentConfig(n_range=n_range, trials=2))
+
+    def test_cases_in_generation_order(self):
+        report = run_campaign("shift-properties", ExperimentConfig(trials=12))
+        assert [c["params"]["trial"] for c in report.cases] == list(range(12))
+        report = run_campaign("lemma33-grid", ExperimentConfig(n_range=(4, 11), k_range=(2, 2)))
+        nkp = [tuple(c["params"].values()) for c in report.cases]
+        assert nkp == [(n, 2, p) for n in range(4, 12) for p in range(3, n)]
+
     def test_report_written_to_file(self, tmp_path):
         out = tmp_path / "report.json"
         config = ExperimentConfig(output_path=str(out))
         report = run_campaign("extremal-absence", config)
         payload = json.loads(out.read_text())
         assert payload["campaign"] == "extremal-absence"
-        assert payload["summary"]["passed"] == report.passed == 3
+        # every (n, k) of the default grid: 2 <= k <= 4, 2k <= n <= 8
+        points = [(c["params"]["n"], c["params"]["k"]) for c in payload["cases"]]
+        assert points == [(4, 2), (5, 2), (6, 2), (7, 2), (8, 2), (6, 3), (7, 3), (8, 3), (8, 4)]
+        assert payload["summary"]["passed"] == report.passed == 9
         assert payload["summary"]["failed"] == 0
         assert {"nodes", "orbit_skips", "automorphisms"} <= set(payload["cases"][0]["values"])
 
@@ -193,23 +232,29 @@ class TestCampaigns:
             run_campaign(campaign, config)
 
     def test_failing_case_embeds_instance(self, monkeypatch):
-        # force a failure by auditing against an unreachable threshold being
-        # met vacuously is not possible; instead check the serializer path on
-        # a constructed failing case
-        from rfl.harness import CampaignReport
+        # a k-factor in the extremal graph fails every extremal-absence case;
+        # each failed case carries what replays it, and a passing case none
+        import rfl.harness
 
-        report = CampaignReport(campaign="x", config={})
-        report.cases.append(
-            {
-                "params": {"n": 4},
-                "values": {},
-                "ok": False,
-                "instance": fileio.format_graph(build_extremal(4, 2)),
-            }
-        )
-        payload = json.loads(report.to_json())
-        assert "n 4" in payload["cases"][0]["instance"]
-        assert payload["summary"]["failed"] == 1
+        config = ExperimentConfig(seed=5, n_range=(4, 5), k_range=(2, 2))
+        replay = {"seed", "config", "instance"}
+        report = run_campaign("extremal-absence", config)
+        assert report.failed == 0
+        assert all(not replay & set(c) for c in report.cases)
+
+        monkeypatch.setattr(rfl.harness, "k_factor_exists", lambda g, k: True)
+        payload = json.loads(run_campaign("extremal-absence", config).to_json())
+        assert payload["summary"]["failed"] == len(payload["cases"]) == 2
+        for case in payload["cases"]:
+            assert replay <= set(case)
+            assert case["seed"] == 5
+            assert case["config"] == payload["config"]
+            assert ExperimentConfig(
+                **{key: tuple(v) if isinstance(v, list) else v for key, v in case["config"].items()}
+            ) == config
+            family = fileio.parse_family(case["instance"])
+            n, k = case["params"]["n"], case["params"]["k"]
+            assert family == GraphFamily(n, k, (build_extremal(n, k),) * (k * n))
 
 
 class TestCLI:
@@ -313,6 +358,33 @@ class TestCLI:
         assert len(lines) == 4  # (4,2,3), (5,2,3), (5,2,4)
         assert all(line.endswith("true") for line in lines[1:])
 
+    def test_margin_grid_that_checks_nothing_exits_2(self, capsys):
+        assert self.run("verify-lemma33", "--kmax", "1", "--nmax", "5") == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+        assert "no cases" in captured.err
+
+    def test_margin_grid_reports_an_undecided_case(self, monkeypatch, capsys):
+        # the grid is a view of the lemma33-grid campaign: a case the
+        # library cannot decide is a false row, the others stay
+        import rfl.harness
+        from rfl.spectral import InconsistencyError
+
+        real = rfl.harness.join_margin
+
+        def fail_at_5_2_4(params, tol=None):
+            if (params.n, params.k, params.p) == (5, 2, 4):
+                raise InconsistencyError("the computation gave up")
+            return real(params, tol=tol)
+
+        monkeypatch.setattr(rfl.harness, "join_margin", fail_at_5_2_4)
+        assert self.run("verify-lemma33", "--kmax", "2", "--nmax", "5") == 1
+        captured = capsys.readouterr()
+        lines = captured.out.strip().splitlines()
+        assert len(lines) == 4 and lines[3] == "5,2,4,,,,false"
+        assert all(line.endswith("true") for line in lines[1:3])
+        assert captured.err == "error: (n,k,p) = (5,2,4): the computation gave up\n"
+
     def test_campaign_command(self, tmp_path, capsys):
         out = tmp_path / "r.json"
         code = self.run(
@@ -367,7 +439,6 @@ class TestCLI:
         "command, name, error",
         [
             (("rho", "--in", "{path}"), "spectral_radius", "ConvergenceError"),
-            (("verify-lemma33", "--kmax", "2", "--nmax", "5"), "join_margin", "InconsistencyError"),
         ],
     )
     def test_library_runtime_errors_exit_2(self, tmp_path, monkeypatch, capsys, command, name, error):
