@@ -1,72 +1,19 @@
-"""Dinic max-flow and degree-constrained bipartite subgraph extraction.
+"""Exact-degree bipartite subgraphs by augmenting paths on bitset rows.
 
-The only clients are desk-scale instances (a few dozen nodes), so the solver
-favors clarity: adjacency lists of [to, capacity, reverse-index] triples,
-BFS level graph, DFS blocking flow.
+A subgraph with prescribed degrees is a bipartite b-matching, found in the
+manner of Hopcroft and Karp (SIAM J. Comput. 1973) on the same neighbor
+bitsets as ``rfl.graphs`` (bit j of row i <=> edge {i+1, n+j+1}).  A greedy
+pass gives each X-row its lowest Y-bits while both ends have capacity left.
+Breadth-first augmenting paths then complete it.  They run over the residual
+graph: unchosen candidate edges go X -> Y, chosen ones Y -> X, and each
+frontier is one bitset.  A path starts at an X-vertex below its degree and
+ends at a Y-vertex below its degree; when none is left to find the
+subgraph cannot be completed (max-flow min-cut).
 """
 
 from __future__ import annotations
 
-from collections import deque
-
-from .graphs import BipartiteGraph, Edge
-
-
-class Dinic:
-    def __init__(self, num_nodes: int):
-        self.adj: list[list[list[int]]] = [[] for _ in range(num_nodes)]
-
-    def add_edge(self, u: int, v: int, capacity: int) -> tuple[int, int]:
-        """Returns (u, index) handle for querying residual capacity later."""
-        self.adj[u].append([v, capacity, len(self.adj[v])])
-        self.adj[v].append([u, 0, len(self.adj[u]) - 1])
-        return (u, len(self.adj[u]) - 1)
-
-    def flow_on(self, handle: tuple[int, int]) -> int:
-        u, idx = handle
-        arc = self.adj[u][idx]
-        return self.adj[arc[0]][arc[2]][1]  # reverse capacity = pushed flow
-
-    def max_flow(self, source: int, sink: int) -> int:
-        total = 0
-        while True:
-            level = self._bfs(source, sink)
-            if level is None:
-                return total
-            iters = [0] * len(self.adj)
-            while True:
-                pushed = self._dfs(source, sink, float("inf"), level, iters)
-                if not pushed:
-                    break
-                total += pushed
-        return total
-
-    def _bfs(self, source: int, sink: int) -> list[int] | None:
-        level = [-1] * len(self.adj)
-        level[source] = 0
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            for to, cap, _rev in self.adj[u]:
-                if cap > 0 and level[to] < 0:
-                    level[to] = level[u] + 1
-                    queue.append(to)
-        return level if level[sink] >= 0 else None
-
-    def _dfs(self, u: int, sink: int, limit, level: list[int], iters: list[int]) -> int:
-        if u == sink:
-            return int(limit)
-        while iters[u] < len(self.adj[u]):
-            arc = self.adj[u][iters[u]]
-            to, cap, rev = arc
-            if cap > 0 and level[to] == level[u] + 1:
-                pushed = self._dfs(to, sink, min(limit, cap), level, iters)
-                if pushed:
-                    arc[1] -= pushed
-                    self.adj[to][rev][1] += pushed
-                    return pushed
-            iters[u] += 1
-        return 0
+from .graphs import BipartiteGraph, Edge, GraphError
 
 
 def degree_constrained_subgraph(
@@ -76,36 +23,147 @@ def degree_constrained_subgraph(
     caps_y: list[int],
 ) -> list[Edge] | None:
     """A subgraph of the candidate edges where X-vertex i has degree exactly
-    caps_x[i-1] and Y-vertex n+j degree exactly caps_y[j-1], or None.
+    caps_x[i-1] and Y-vertex n+j degree exactly caps_y[j-1], as its edges in
+    candidate order, or None if there is none.
 
-    Network: source -> X (cap per vertex), X -> Y along candidates (cap 1),
-    Y -> sink (cap per vertex); exact degrees iff the flow saturates both
-    sides, i.e. equals the common capacity sum.
+    Raises GraphError for n < 1, caps not of length n, a negative cap, a
+    candidate that does not join X = 1..n to Y = n+1..2n, or a repeated
+    candidate.
     """
-    need = sum(caps_x)
-    if need != sum(caps_y):
-        return None
-    # node ids: 0 = source, X-vertex x -> x, Y-vertex y -> y, 2n+1 = sink
-    source, sink = 0, 2 * n + 1
-    net = Dinic(2 * n + 2)
-    for i, cap in enumerate(caps_x):
-        if cap:
-            net.add_edge(source, 1 + i, cap)
-    for j, cap in enumerate(caps_y):
-        if cap:
-            net.add_edge(n + 1 + j, sink, cap)
-    handles = []
+    if n < 1:
+        raise GraphError(f"half-order must be positive, got {n}")
+    if len(caps_x) != n or len(caps_y) != n:
+        raise GraphError(f"expected {n} caps a side, got {len(caps_x)} and {len(caps_y)}")
+    if min(caps_x) < 0 or min(caps_y) < 0:
+        raise GraphError("degree caps must be nonnegative")
+    rows = [0] * n
     for x, y in candidate_edges:
-        handles.append(((x, y), net.add_edge(x, y, 1)))
-    if net.max_flow(source, sink) != need:
+        if not (1 <= x <= n < y <= 2 * n):
+            raise GraphError(f"candidate edge ({x},{y}) leaves X=1..{n}, Y={n + 1}..{2 * n}")
+        bit = 1 << (y - n - 1)
+        if rows[x - 1] & bit:
+            raise GraphError(f"candidate edge ({x},{y}) is repeated")
+        rows[x - 1] |= bit
+    chosen = _exact_degree(rows, caps_x, caps_y)
+    if chosen is None:
         return None
-    return [edge for edge, h in handles if net.flow_on(h) == 1]
+    return [(x, y) for x, y in candidate_edges if chosen[x - 1] >> (y - n - 1) & 1]
 
 
 def k_factor_exists(g: BipartiteGraph, k: int) -> bool:
     """Whether g contains a spanning k-regular subgraph."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    n = g.n
-    chosen = degree_constrained_subgraph(n, list(g.edges()), [k] * n, [k] * n)
-    return chosen is not None
+    caps = [k] * g.n
+    return _exact_degree(g.x_rows, caps, caps) is not None
+
+
+def _exact_degree(rows, caps_x: list[int], caps_y: list[int]) -> list[int] | None:
+    """Rows of a subgraph of `rows` with the exact degrees, or None."""
+    if sum(caps_x) != sum(caps_y):
+        return None
+    return _augment(rows, _greedy(rows, caps_x, caps_y), caps_x, caps_y)
+
+
+def _greedy(rows, caps_x: list[int], caps_y: list[int]) -> list[int]:
+    """Each X-row in turn takes its lowest Y-bits while both ends have
+    capacity left."""
+    left_y = list(caps_y)
+    open_y = 0
+    for j, cap in enumerate(caps_y):
+        if cap:
+            open_y |= 1 << j
+    chosen = []
+    for row, cap in zip(rows, caps_x):
+        free, pick = row & open_y, 0
+        while cap and free:
+            bit = free & -free
+            free ^= bit
+            pick |= bit
+            cap -= 1
+            j = bit.bit_length() - 1
+            left_y[j] -= 1
+            if not left_y[j]:
+                open_y ^= bit
+        chosen.append(pick)
+    return chosen
+
+
+def _augment(rows, chosen: list[int], caps_x: list[int], caps_y: list[int]) -> list[int] | None:
+    """Complete `chosen`, any subgraph of `rows` with degrees at most the
+    caps (whose sums agree), to exact degrees by shortest augmenting paths;
+    None if it cannot be completed."""
+    n = len(rows)
+    chosen = list(chosen)
+    left_x = [cap - row.bit_count() for cap, row in zip(caps_x, chosen)]
+    sources = 0  # the X-vertices below their degree
+    for i, left in enumerate(left_x):
+        if left:
+            sources |= 1 << i
+    if not sources:  # the cap sums agree, so every Y-degree is exact too
+        return chosen
+    cols = [0] * n  # the chosen edges by Y-vertex: bit i of cols[j] <=> (i, j) chosen
+    for i, row in enumerate(chosen):
+        while row:
+            bit = row & -row
+            cols[bit.bit_length() - 1] |= 1 << i
+            row ^= bit
+    left_y = [cap - col.bit_count() for cap, col in zip(caps_y, cols)]
+    sinks = 0  # the Y-vertices below their degree
+    for j, left in enumerate(left_y):
+        if left:
+            sinks |= 1 << j
+    while sources:
+        # breadth-first layers: y_layers[d] is reached from x_layers[d]
+        # along unchosen edges, x_layers[d + 1] from y_layers[d] along chosen ones
+        x_layers, y_layers = [sources], []
+        seen_x, seen_y, frontier = sources, 0, sources
+        while True:
+            reach = 0
+            while frontier:
+                bit = frontier & -frontier
+                i = bit.bit_length() - 1
+                reach |= rows[i] & ~chosen[i]
+                frontier ^= bit
+            reach &= ~seen_y
+            if not reach:
+                return None
+            y_layers.append(reach)
+            if reach & sinks:
+                break
+            seen_y |= reach
+            while reach:
+                bit = reach & -reach
+                frontier |= cols[bit.bit_length() - 1]
+                reach ^= bit
+            frontier &= ~seen_x
+            if not frontier:
+                return None
+            seen_x |= frontier
+            x_layers.append(frontier)
+        # walk one path back from a sink, flipping its edges
+        end = y_layers[-1] & sinks
+        j = (end & -end).bit_length() - 1
+        left_y[j] -= 1
+        if not left_y[j]:
+            sinks ^= 1 << j
+        for depth in range(len(y_layers) - 1, -1, -1):
+            layer = x_layers[depth]
+            while True:  # an X-vertex of this layer with an unchosen edge to j
+                bit = layer & -layer
+                i = bit.bit_length() - 1
+                if (rows[i] & ~chosen[i]) >> j & 1:
+                    break
+                layer ^= bit
+            chosen[i] |= 1 << j
+            cols[j] |= bit
+            if not depth:
+                left_x[i] -= 1
+                if not left_x[i]:
+                    sources ^= bit
+                break
+            back = chosen[i] & y_layers[depth - 1]
+            j = (back & -back).bit_length() - 1
+            chosen[i] ^= 1 << j
+            cols[j] ^= bit
+    return chosen

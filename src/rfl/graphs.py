@@ -32,9 +32,10 @@ class BipartiteGraph:
         if len(self.x_rows) != self.n:
             raise GraphError(f"expected {self.n} rows, got {len(self.x_rows)}")
         full = (1 << self.n) - 1
-        for i, row in enumerate(self.x_rows):
-            if row < 0 or row & ~full:
-                raise GraphError(f"row {i + 1} has bits outside Y range")
+        if min(self.x_rows) < 0 or max(self.x_rows) > full:
+            for i, row in enumerate(self.x_rows):  # name the first bad row
+                if row < 0 or row > full:
+                    raise GraphError(f"row {i + 1} has bits outside Y range")
 
     @classmethod
     def empty(cls, n: int) -> "BipartiteGraph":

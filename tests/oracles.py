@@ -1,6 +1,7 @@
 """Brute-force oracles the tests compare the library against: k-factor
 existence, rainbow perfect matchings and family automorphisms, all by plain
-enumeration, connected components by breadth-first search, the 4x4
+enumeration, exact-degree subgraph existence by its cut condition over every
+set of X-vertices, connected components by breadth-first search, the 4x4
 equitable quotient matrix of the join graphs with its characteristic
 polynomial, against which the library's integer coefficients are checked,
 and the complete-block, quasi-complement and bowtie-join builders that
@@ -43,6 +44,24 @@ def brute_force_k_factor_exists(g: BipartiteGraph, k: int) -> bool:
         return False
 
     return rec(0, {y: 0 for y in range(n + 1, 2 * n + 1)})
+
+
+def exact_degree_exists(n: int, edges: list[Edge], caps_x: list[int], caps_y: list[int]) -> bool:
+    """Oracle: whether the edges hold a subgraph where X-vertex i has degree
+    caps_x[i-1] and Y-vertex n+j degree caps_y[j-1].  By max-flow min-cut on
+    source -> X -> Y -> sink, exactly when the cap sums agree and every
+    A subset of X has sum_{x in A} caps_x <= sum_y min(caps_y, |N(y) & A|).
+    Exponential in n."""
+    if sum(caps_x) != sum(caps_y):
+        return False
+    nbrs = [{x for x, y in edges if y == n + j} for j in range(1, n + 1)]
+    for size in range(1, n + 1):
+        for a in combinations(range(1, n + 1), size):
+            demand = sum(caps_x[x - 1] for x in a)
+            supply = sum(min(cap, len(nb.intersection(a))) for cap, nb in zip(caps_y, nbrs))
+            if demand > supply:
+                return False
+    return True
 
 
 def brute_force_rainbow_matching(

@@ -1,6 +1,7 @@
 import itertools
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from rfl.construction import construct_rainbow_factor_extremal
@@ -28,13 +29,14 @@ from rfl.graphs import (
     _bits,
     labeled_extremal_copy,
 )
-from rfl.flow import degree_constrained_subgraph
+from rfl.flow import _augment, degree_constrained_subgraph
 from rfl.spectral import extremal_spectral_radius
 from tests.conftest import random_graph
 from tests.oracles import (
     brute_force_automorphisms,
     brute_force_k_factor_exists,
     brute_force_rainbow_matching,
+    exact_degree_exists,
 )
 
 
@@ -69,6 +71,87 @@ class TestKFactorExists:
             g = random_graph(rng, 4, float(rng.random()))
             for k in (1, 2):
                 assert k_factor_exists(g, k) == brute_force_k_factor_exists(g, k)
+
+
+def check_exact_degree(n, candidates, caps_x, caps_y, chosen):
+    """Compare a degree_constrained_subgraph answer with the oracle: an edge
+    list must be a duplicate-free subset of the candidates, in candidate
+    order, with the exact degrees."""
+    assert (chosen is not None) == exact_degree_exists(n, candidates, caps_x, caps_y)
+    if chosen is None:
+        return
+    assert chosen == [e for e in candidates if e in set(chosen)]
+    assert len(set(chosen)) == len(chosen)
+    degree = Counter(v for e in chosen for v in e)
+    assert [degree[x] for x in range(1, n + 1)] == list(caps_x)
+    assert [degree[y] for y in range(n + 1, 2 * n + 1)] == list(caps_y)
+
+
+class TestDegreeConstrainedSubgraph:
+    def test_rejects_negative_cap(self):
+        with pytest.raises(GraphError, match="nonnegative"):
+            degree_constrained_subgraph(2, [(1, 3), (2, 4)], [2, -1], [1, 0])
+
+    def test_rejects_repeated_candidate(self):
+        with pytest.raises(GraphError, match="repeated"):
+            degree_constrained_subgraph(2, [(1, 3), (2, 4), (1, 3)], [1, 1], [1, 1])
+
+    def test_rejects_caps_of_wrong_length(self):
+        with pytest.raises(GraphError, match="caps a side"):
+            degree_constrained_subgraph(2, [(1, 3), (2, 4)], [1, 1, 0], [1, 1, 0])
+
+    def test_rejects_edge_inside_a_part(self):
+        with pytest.raises(GraphError, match="leaves"):
+            degree_constrained_subgraph(2, [(1, 2), (2, 4)], [1, 1], [1, 1])
+
+    def test_agrees_with_oracle_on_every_graph_up_to_n2(self):
+        for n in (1, 2):
+            pairs = [(x, y) for x in range(1, n + 1) for y in range(n + 1, 2 * n + 1)]
+            for mask in range(1 << len(pairs)):
+                edges = [e for b, e in enumerate(pairs) if mask >> b & 1]
+                for caps in itertools.product(range(3), repeat=2 * n):
+                    caps_x, caps_y = list(caps[:n]), list(caps[n:])
+                    chosen = degree_constrained_subgraph(n, edges, caps_x, caps_y)
+                    check_exact_degree(n, edges, caps_x, caps_y, chosen)
+
+    def test_agrees_with_oracle_on_seeded_graphs(self, rng):
+        found = 0
+        for n in range(3, 7):
+            for _ in range(60):
+                g = random_graph(rng, n, float(rng.random()))
+                edges = list(g.edges())
+                edges = [edges[i] for i in rng.permutation(len(edges))]
+                caps_x = rng.integers(0, 4, size=n).tolist()
+                if rng.random() < 0.8:  # mostly agreeing sums, so the flow runs
+                    caps_y = np.bincount(rng.integers(0, n, size=sum(caps_x)), minlength=n).tolist()
+                else:
+                    caps_y = rng.integers(0, 4, size=n).tolist()
+                chosen = degree_constrained_subgraph(n, edges, caps_x, caps_y)
+                check_exact_degree(n, edges, caps_x, caps_y, chosen)
+                found += chosen is not None
+        assert 0 < found < 4 * 60  # both answers are checked
+
+    def test_augmenting_completes_any_partial_subgraph(self, rng):
+        # the augmenting phase takes any subgraph within the caps, not only the
+        # greedy one; start it from a random one
+        for n in range(2, 7):
+            for _ in range(40):
+                g = random_graph(rng, n, float(rng.random()))
+                caps_x = rng.integers(0, 4, size=n).tolist()
+                caps_y = np.bincount(rng.integers(0, n, size=sum(caps_x)), minlength=n).tolist()
+                start, left_y = [], list(caps_y)
+                for row, cap in zip(g.x_rows, caps_x):
+                    pick = 0
+                    for j in rng.permutation(n).tolist():
+                        if row >> j & 1 and cap and left_y[j] and rng.random() < 0.5:
+                            pick |= 1 << j
+                            cap -= 1
+                            left_y[j] -= 1
+                    start.append(pick)
+                rows = _augment(g.x_rows, start, caps_x, caps_y)
+                edges = list(g.edges())
+                chosen = None if rows is None else [(x, y) for x, y in edges if rows[x - 1] >> (y - n - 1) & 1]
+                check_exact_degree(n, edges, caps_x, caps_y, chosen)
 
 
 class TestRainbowFactorValidation:

@@ -53,6 +53,13 @@ class TestBipartiteGraph:
         with pytest.raises(GraphError):
             BipartiteGraph.from_edges(2, [(3, 4)])
 
+    def test_bad_row_is_named(self):
+        # the first row out of range is named, whether it is too wide or negative
+        with pytest.raises(GraphError, match="row 2 has bits"):
+            BipartiteGraph(3, (7, 8, -1))
+        with pytest.raises(GraphError, match="row 3 has bits"):
+            BipartiteGraph(3, (7, 0, -1))
+
     def test_edge_iteration_is_lexicographic(self):
         g = BipartiteGraph.from_edges(3, [(2, 6), (1, 4), (2, 4)])
         assert list(g.edges()) == [(1, 4), (2, 4), (2, 6)]
