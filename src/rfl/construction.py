@@ -10,33 +10,38 @@ deficient vertex, which makes the construction concrete:
 - otherwise group members by deficient vertex, build one such anchored
   factor per group large enough to supply n edges per regularity unit,
   repair duplicate edges between the group factors by degree-preserving
-  swaps, and cover the leftover members in blocks of n by rainbow perfect
-  matchings of their star-deleted subgraphs, repairing again at the end.
+  swaps, and cover the leftover members in blocks of n by perfect
+  matchings, repairing again at the end.
+
+A leftover block needs no search.  Each group leaves fewer than n members
+to the blocks, so a block of n has at least two distinct deficient
+vertices.  Give the block a cyclic perfect matching M; a member with
+deficient vertex u may take any edge of M that avoids u, since its
+star-deleted subgraph contains every such edge.  By Hall's theorem the
+members of the block can take distinct edges of M unless they all forbid
+the same edge, that is unless their deficient vertices all lie on one
+edge of M, which rules out at most one of the n cyclic matchings.  There
+are at most k <= n/2 blocks, so each gets its own shift and the block
+matchings share no edge.  The flow solver of ``rfl.flow`` assigns the
+members to the edges; it also picks the anchor edges, as a system of
+distinct representatives.
 
 All nondeterministic choices (anchor members, representatives, swap
-candidates, block layout) are resolved lexicographically.
+candidates, block shifts) are resolved lexicographically.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
-from .factors import FOUND, RainbowFactor, rainbow_perfect_matching_search
+from .factors import RainbowFactor
 from .flow import degree_constrained_subgraph
-from .graphs import (
-    Edge,
-    GraphError,
-    GraphFamily,
-    extremal_signature,
-    induced_delete_vertex,
-)
+from .graphs import Edge, GraphError, GraphFamily, extremal_signature
 
 Assignment = dict[int, Edge]  # 1-based family index -> its edge
 
 
-def construct_rainbow_factor_extremal(
-    family: GraphFamily, pm_budget: int = 10_000_000
-) -> RainbowFactor:
+def construct_rainbow_factor_extremal(family: GraphFamily) -> RainbowFactor:
     """Build (not search) a rainbow k-factor of a family of labeled extremal
     copies with at least two distinct members.  The result is validated
     against all factor invariants before it is returned."""
@@ -85,18 +90,7 @@ def construct_rainbow_factor_extremal(
 
     rest = [s for s in range(1, k * n + 1) if s not in chosen_slots]
     blocks = [rest[i : i + n] for i in range(0, len(rest), n)]
-    matched = _match_blocks(family, signatures, blocks, pm_budget)
-    if matched is None:
-        # one deterministic reshuffle: interleave leftover slots across groups
-        reshuffled = _interleave_by_group(rest, signatures)
-        blocks = [reshuffled[i : i + n] for i in range(0, len(reshuffled), n)]
-        matched = _match_blocks(family, signatures, blocks, pm_budget)
-        if matched is None:
-            raise GraphError(
-                "no rainbow perfect matching for a leftover block even after "
-                f"reshuffling; slots {rest}"
-            )
-    merged.update(matched)
+    merged.update(_match_blocks(n, signatures, blocks))
     merged = repair_multiedges(merged, family)
     return _finish(family, merged)
 
@@ -140,29 +134,45 @@ def _anchored_assignment(
         chosen_slots = sorted(chosen)
     else:
         chosen_slots = slots[:units]
-    representatives = _distinct_representatives(
-        [signatures[s - 1][1] for s in chosen_slots]
-    )
-    if representatives is None:
-        raise GraphError("no distinct representatives for anchor edges")
 
     in_x = anchor <= n
-    assignment: Assignment = {}
-    rep_set = set()
-    for slot, v in zip(chosen_slots, representatives):
-        assignment[slot] = (anchor, v) if in_x else (v, anchor)
-        rep_set.add(v)
+    offset = n if in_x else 0  # the anchor's neighbors, numbered 1..n in their part
+    # Distinct representatives as an exact-degree subgraph with caps 1: the
+    # chosen slots on X against the candidate neighbors on Y, and one
+    # padding X-vertex after the slots that takes the candidates left over.
+    candidates = [
+        (pos, n + v - offset)
+        for pos, s in enumerate(chosen_slots, start=1)
+        for v in signatures[s - 1][1]
+    ]
+    pool = sorted({y for _pos, y in candidates})
+    padding = units + 1
+    candidates += [(padding, y) for y in pool]
+    caps_x = [1] * units + [len(pool) - units] + [0] * (n - padding)
+    caps_y = [0] * n
+    for y in pool:
+        caps_y[y - n - 1] = 1
+    anchor_edges = degree_constrained_subgraph(n, candidates, caps_x, caps_y)
+    if anchor_edges is None:
+        raise GraphError("no distinct representatives for anchor edges")
 
+    assignment: Assignment = {}
     caps_x = [units] * n
     caps_y = [units] * n
+    for pos, y in anchor_edges:
+        if pos == padding:
+            continue
+        v = y - n + offset
+        if in_x:
+            assignment[chosen_slots[pos - 1]] = (anchor, v)
+            caps_y[v - n - 1] -= 1
+        else:
+            assignment[chosen_slots[pos - 1]] = (v, anchor)
+            caps_x[v - 1] -= 1
     if in_x:
         caps_x[anchor - 1] = 0
-        for v in rep_set:
-            caps_y[v - n - 1] -= 1
     else:
         caps_y[anchor - n - 1] = 0
-        for v in rep_set:
-            caps_x[v - 1] -= 1
     candidates = [
         (x, y)
         for x in range(1, n + 1)
@@ -175,7 +185,8 @@ def _anchored_assignment(
         raise GraphError(
             f"no degree-exact completion for anchor {anchor} with units {units}"
         )
-    rest_slots = [s for s in slots if s not in set(chosen_slots)]
+    taken = set(chosen_slots)
+    rest_slots = [s for s in slots if s not in taken]
     filler.sort()
     if len(filler) != len(rest_slots):
         raise GraphError("completion size mismatch")
@@ -184,68 +195,38 @@ def _anchored_assignment(
     return assignment
 
 
-def _distinct_representatives(sets: list[tuple[int, ...]]) -> list[int] | None:
-    """System of distinct representatives via augmenting paths; positions in
-    order, candidate vertices ascending."""
-    owner: dict[int, int] = {}
-
-    def assign(pos: int, visited: set[int]) -> bool:
-        for v in sorted(sets[pos]):
-            if v in visited:
-                continue
-            visited.add(v)
-            if v not in owner or assign(owner[v], visited):
-                owner[v] = pos
-                return True
-        return False
-
-    for pos in range(len(sets)):
-        if not assign(pos, set()):
-            return None
-    chosen = [0] * len(sets)
-    for v, pos in owner.items():
-        chosen[pos] = v
-    return chosen
-
-
 def _match_blocks(
-    family: GraphFamily,
-    signatures: list[tuple[int, tuple[int, ...]]],
-    blocks: list[list[int]],
-    pm_budget: int,
-) -> Assignment | None:
-    """Rainbow perfect matchings for each block of n leftover slots, built on
-    the members with their deficient-vertex stars deleted."""
+    n: int, signatures: list[tuple[int, tuple[int, ...]]], blocks: list[list[int]]
+) -> Assignment:
+    """Cover each block of n leftover slots by the cyclic perfect matching
+    x -> n+1+((x-1+shift) mod n), with a different shift for each block.
+
+    A slot may take any edge of its block's matching that avoids its
+    deficient vertex.  The lowest shift is taken that no earlier block
+    uses and at which the block's deficient vertices lie on two or more
+    edges of the matching; Hall's condition then holds, and the flow solver
+    assigns the slots (caps 1: block positions on X against the matching's
+    edges on Y, each named by its X-end)."""
     out: Assignment = {}
+    used: set[int] = set()
+    ones = [1] * n
     for block in blocks:
-        deficient = {signatures[s - 1][0] for s in block}
-        if len(deficient) < 2:
-            return None
-        deleted = [
-            induced_delete_vertex(family[s - 1], signatures[s - 1][0]) for s in block
+        deficient = [signatures[s - 1][0] for s in block]
+        for shift in range(n):
+            # the X-end of the matching edge at each deficient vertex
+            ends = [u if u <= n else (u - n - 1 - shift) % n + 1 for u in deficient]
+            if shift not in used and len(set(ends)) > 1:
+                break
+        used.add(shift)
+        candidates = [
+            (pos, n + x)
+            for pos, end in enumerate(ends, start=1)
+            for x in range(1, n + 1)
+            if x != end
         ]
-        result = rainbow_perfect_matching_search(deleted, budget=pm_budget)
-        if result.status != FOUND:
-            return None
-        for local, edge in result.assignment:
-            out[block[local - 1]] = edge
-    return out
-
-
-def _interleave_by_group(
-    slots: list[int], signatures: list[tuple[int, tuple[int, ...]]]
-) -> list[int]:
-    by_group: dict[int, list[int]] = {}
-    for s in slots:
-        by_group.setdefault(signatures[s - 1][0], []).append(s)
-    queues = [by_group[u] for u in sorted(by_group)]
-    out: list[int] = []
-    position = 0
-    while len(out) < len(slots):
-        for q in queues:
-            if position < len(q):
-                out.append(q[position])
-        position += 1
+        for pos, y in degree_constrained_subgraph(n, candidates, ones, ones):
+            x = y - n
+            out[block[pos - 1]] = (x, n + 1 + (x - 1 + shift) % n)
     return out
 
 

@@ -270,16 +270,28 @@ def labeled_extremal_copy(
 
 def extremal_signature(g: BipartiteGraph, k: int) -> tuple[int, tuple[int, ...]] | None:
     """(deficient vertex, sorted neighbors) if g is a labeled extremal copy
-    for its half-order and k, else None."""
+    for its half-order and k, else None.
+
+    Read from the rows: a copy deficient at an X-vertex has one row of k-1
+    bits and every other row full; one deficient at a Y-vertex has n-k+1
+    rows that miss the same single bit and every other row full.  For
+    k >= n the deficient vertex is not the only one of degree k-1, so no
+    graph is a copy."""
     n = g.n
-    deficient = [v for v in range(1, 2 * n + 1) if g.degree(v) == k - 1]
-    if len(deficient) != 1:
+    if not 1 <= k < n:
         return None
-    u = deficient[0]
-    nbrs = tuple(sorted(g.neighbors(u)))
-    if g == labeled_extremal_copy(n, k, u, nbrs):
-        return (u, nbrs)
-    return None
+    full = (1 << n) - 1
+    short = [(i, row) for i, row in enumerate(g.x_rows) if row != full]
+    if len(short) == 1 and short[0][1].bit_count() == k - 1:
+        i, row = short[0]
+        return (i + 1, tuple(n + j + 1 for j in _bits(row)))
+    if len(short) != n - k + 1:
+        return None
+    missing = full ^ short[0][1]
+    if missing.bit_count() != 1 or any(row != short[0][1] for _i, row in short):
+        return None
+    cut = {i for i, _row in short}
+    return (n + missing.bit_length(), tuple(i + 1 for i in range(n) if i not in cut))
 
 
 def is_extremal_isomorphic(g: BipartiteGraph, n: int, k: int) -> bool:

@@ -4,8 +4,9 @@ enumeration, exact-degree subgraph existence by its cut condition over every
 set of X-vertices, connected components by breadth-first search, the 4x4
 equitable quotient matrix of the join graphs with its characteristic
 polynomial, against which the library's integer coefficients are checked,
-and the complete-block, quasi-complement and bowtie-join builders that
-compose the extremal and join graphs the library writes row by row."""
+the complete-block, quasi-complement and bowtie-join builders that
+compose the extremal and join graphs the library writes row by row, and
+the extremal signature by degrees and comparison with a built copy."""
 
 from collections import Counter, deque
 from dataclasses import dataclass
@@ -14,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from rfl.graphs import BipartiteGraph, Edge, ExtremalParams, GraphError
+from rfl.graphs import BipartiteGraph, Edge, ExtremalParams, GraphError, labeled_extremal_copy
 from rfl.spectral import biquadratic_coeffs
 
 
@@ -231,6 +232,24 @@ def bowtie_join(
         cross = y2_bits if (x1_bits >> i & 1) else y1_bits
         rows.append(g1.x_rows[i] | g2.x_rows[i] | cross)
     return BipartiteGraph(n, tuple(rows))
+
+
+def extremal_signature_by_copy(
+    g: BipartiteGraph, k: int
+) -> tuple[int, tuple[int, ...]] | None:
+    """Oracle: (deficient vertex, sorted neighbors) if g is a labeled extremal
+    copy for its half-order and k, else None.  The deficient vertex is the
+    only vertex of degree k-1, and g must equal the copy built from it and
+    its neighbors."""
+    degrees = [row.bit_count() for row in g.x_rows + g.y_cols]  # vertices 1..2n
+    deficient = [v for v, d in enumerate(degrees, start=1) if d == k - 1]
+    if len(deficient) != 1:
+        return None
+    u = deficient[0]
+    nbrs = tuple(sorted(g.neighbors(u)))
+    if g == labeled_extremal_copy(g.n, k, u, nbrs):
+        return (u, nbrs)
+    return None
 
 
 def _vertex_bits(vertices: Iterable[int], lo: int, hi: int) -> int:

@@ -1,12 +1,10 @@
 from collections import Counter
+from itertools import combinations_with_replacement
 
 import pytest
 
-from rfl.construction import (
-    _interleave_by_group,
-    construct_rainbow_factor_extremal,
-    repair_multiedges,
-)
+from rfl import factors
+from rfl.construction import _match_blocks, construct_rainbow_factor_extremal, repair_multiedges
 from rfl.factors import FOUND, rainbow_k_factor_search
 from rfl.graphs import BipartiteGraph, GraphError, GraphFamily, build_extremal
 from rfl.harness import (
@@ -91,6 +89,104 @@ class TestMultipleDeficientVertices:
             spec = random_deficiency_spec(6, 3, rng)
             family = generate_extremal_variant_family(6, 3, spec)
             construct_rainbow_factor_extremal(family).validate(family)
+
+
+def rotating_spec(n, k, deficient):
+    """One entry per deficient vertex in order; repeats of a vertex rotate
+    its k-1 neighbors through the other part."""
+    seen = Counter()
+    spec = []
+    for u in deficient:
+        part = list(range(n + 1, 2 * n + 1) if u <= n else range(1, n + 1))
+        spec.append((u, tuple(sorted(part[(seen[u] + j) % n] for j in range(k - 1)))))
+        seen[u] += 1
+    return spec
+
+
+def random_family_spec(n, k, rng):
+    """kn random entries with two distinct ones; in a third of the draws
+    (by the rng) the deficient vertices come from only 2 or 3 vertices."""
+    if rng.random() < 1 / 3:
+        size = int(rng.integers(2, 4))
+        vertices = [int(v) for v in rng.choice(range(1, 2 * n + 1), size=size, replace=False)]
+    else:
+        vertices = list(range(1, 2 * n + 1))
+    while True:
+        spec = []
+        for _ in range(k * n):
+            u = vertices[int(rng.integers(len(vertices)))]
+            pool = range(n + 1, 2 * n + 1) if u <= n else range(1, n + 1)
+            nbrs = tuple(sorted(int(v) for v in rng.choice(list(pool), size=k - 1, replace=False)))
+            spec.append((u, nbrs))
+        if len(set(spec)) >= 2:
+            return spec
+
+
+class TestLeftoverBlocks:
+    def test_every_deficient_vertex_multiset_n4_k2(self):
+        # every multiset of 8 deficient vertices out of 8 with two distinct
+        # vertices: C(15, 8) - 8 = 6,427 families
+        built = 0
+        for deficient in combinations_with_replacement(range(1, 9), 8):
+            if len(set(deficient)) < 2:
+                continue
+            family = generate_extremal_variant_family(4, 2, rotating_spec(4, 2, deficient))
+            construct_rainbow_factor_extremal(family).validate(family)
+            built += 1
+        assert built == 6427
+
+    def test_random_families_up_to_n10_k4(self):
+        rng = make_rng(4141)
+        shapes = [(n, k) for k in range(2, 5) for n in range(2 * k, 11)]
+        for trial in range(300):
+            n, k = shapes[trial % len(shapes)]
+            family = generate_extremal_variant_family(n, k, random_family_spec(n, k, rng))
+            construct_rainbow_factor_extremal(family).validate(family)
+
+    def test_block_matchings_are_edge_disjoint(self):
+        # up to k blocks of n slots, no deficient vertex n times or more;
+        # every slot's edge avoids its deficient vertex, each block is a
+        # perfect matching, and no edge serves two blocks
+        rng = make_rng(5151)
+        for _ in range(400):
+            k = int(rng.integers(2, 5))
+            n = int(rng.integers(2 * k, 11))
+            slots = int(rng.integers(1, k + 1)) * n
+            size = int(rng.integers(-(-slots // (n - 1)), 2 * n + 1))
+            vertices = rng.choice(range(1, 2 * n + 1), size=size, replace=False)
+            # each vertex n - 1 times in the pool, so fewer than n times in the blocks
+            pool = [int(u) for u in vertices for _ in range(n - 1)]
+            deficient = [pool[i] for i in rng.permutation(len(pool))[:slots]]
+            signatures = [(u, ()) for u in deficient]
+            blocks = [list(range(i + 1, i + n + 1)) for i in range(0, slots, n)]
+            out = _match_blocks(n, signatures, blocks)
+            assert sorted(out) == list(range(1, slots + 1))
+            for slot, edge in out.items():
+                assert deficient[slot - 1] not in edge
+            for block in blocks:
+                edges = [out[s] for s in block]
+                assert sorted(x for x, _ in edges) == list(range(1, n + 1))
+                assert sorted(y for _, y in edges) == list(range(n + 1, 2 * n + 1))
+            assert len(set(out.values())) == slots
+
+    def test_construction_never_searches(self, monkeypatch):
+        calls = []
+
+        def spy(name):
+            def record(*args, **kwargs):
+                calls.append(name)
+                raise AssertionError(f"construction called {name}")
+
+            return record
+
+        for name in ("rainbow_perfect_matching_search", "rainbow_k_factor_search", "_search"):
+            monkeypatch.setattr(factors, name, spy(name))
+        rng = make_rng(6161)
+        for n, k in [(4, 2), (5, 2), (6, 3), (8, 4), (9, 3)]:
+            for _ in range(10):
+                family = generate_extremal_variant_family(n, k, random_family_spec(n, k, rng))
+                construct_rainbow_factor_extremal(family).validate(family)
+        assert calls == []
 
 
 class TestPreconditions:
@@ -191,14 +287,3 @@ class TestRepair:
             edges = list(repaired.values())
             assert len(set(edges)) == len(edges)
 
-
-class TestBlockInterleaving:
-    def test_round_robin_across_groups(self):
-        signatures = [
-            (8, (1,)), (8, (1,)), (8, (1,)),
-            (7, (1,)), (7, (1,)),
-            (6, (1,)),
-        ]
-        slots = [1, 2, 3, 4, 5, 6]
-        out = _interleave_by_group(slots, signatures)
-        assert out == [6, 4, 1, 5, 2, 3]

@@ -1,4 +1,4 @@
-from itertools import permutations
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +14,12 @@ from rfl.graphs import (
     is_extremal_isomorphic,
     labeled_extremal_copy,
 )
-from tests.oracles import bowtie_join, build_complete_bipartite, quasi_complement
+from tests.oracles import (
+    bowtie_join,
+    build_complete_bipartite,
+    extremal_signature_by_copy,
+    quasi_complement,
+)
 
 
 def brute_force_isomorphic_to_extremal(g: BipartiteGraph, n: int, k: int) -> bool:
@@ -327,6 +332,28 @@ class TestExtremalRecognition:
         g = labeled_extremal_copy(5, 3, 9, [1, 4])
         assert extremal_signature(g, 3) == (9, (1, 4))
         assert extremal_signature(BipartiteGraph.complete(5), 3) is None
+
+    def test_signature_agrees_with_copy_oracle_on_every_small_graph(self):
+        # every graph with n <= 4 and every k <= n + 1: 329,780 pairs, of
+        # which 116 are labeled extremal copies
+        copies = 0
+        for n in range(1, 5):
+            for rows in product(range(1 << n), repeat=n):
+                g = BipartiteGraph(n, rows)
+                for k in range(1, n + 2):
+                    sig = extremal_signature(g, k)
+                    assert sig == extremal_signature_by_copy(g, k), (rows, k)
+                    copies += sig is not None
+        assert copies == 116
+
+    def test_signature_of_every_copy(self):
+        for n, k in [(4, 2), (5, 3), (7, 3)]:
+            for u in range(1, 2 * n + 1):
+                pool = range(n + 1, 2 * n + 1) if u <= n else range(1, n + 1)
+                for nbrs in combinations(pool, k - 1):
+                    g = labeled_extremal_copy(n, k, u, nbrs)
+                    assert extremal_signature(g, k) == (u, nbrs)
+                    assert extremal_signature(g, k + 1) is None
 
 
 class TestInducedDelete:
