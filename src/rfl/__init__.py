@@ -22,7 +22,6 @@ from .graphs import (
     GraphFamily,
     build_extremal,
     build_join,
-    induced_delete_vertex,
     is_extremal_isomorphic,
     labeled_extremal_copy,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "extremal_spectral_radius",
     "generate_extremal_variant_family",
     "generate_random_bipartite",
-    "induced_delete_vertex",
     "is_bi_shifted",
     "is_extremal_isomorphic",
     "join_margin",

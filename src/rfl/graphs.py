@@ -322,17 +322,3 @@ def is_extremal_isomorphic(g: BipartiteGraph, n: int, k: int) -> bool:
     for target, v in enumerate(rest_y, start=n + 1):
         perm[v] = target
     return g.relabeled(perm) == build_extremal(n, k)
-
-
-def induced_delete_vertex(g: BipartiteGraph, v: int) -> BipartiteGraph:
-    """Remove all edges at v, keeping the labeling (v becomes isolated)."""
-    n = g.n
-    if not (1 <= v <= 2 * n):
-        raise GraphError(f"vertex {v} out of range 1..{2 * n}")
-    if v <= n:
-        rows = list(g.x_rows)
-        rows[v - 1] = 0
-        return BipartiteGraph(n, tuple(rows))
-    bit = ~(1 << (v - n - 1))
-    return BipartiteGraph(n, tuple(row & bit for row in g.x_rows))
-

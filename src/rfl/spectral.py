@@ -18,12 +18,17 @@ equitable partitions (Brouwer and Haemers, Spectra of Graphs, sec. 2.3).
 Identical X-rows are counted once and weighted by their multiplicities,
 B^T B = Bd^T diag(m_x) Bd exactly.  Each block's Y-vertices are split into
 twin classes by bitset refinement, given up once there are more than
-_DENSE_START_MAX classes; a block with at most that many iterates on its
-integer class quotient G = Bq^T diag(m_x) Bq, with products G (m_y * v)
-over class vectors whose bounds are those of the full class-constant
-iterate.  So the extremal and join graphs, with two distinct rows and two
-Y-classes, close in one product on a 2 x 2 matrix, and only a block with
-too many classes builds B.  Smaller graphs keep their rows as they are.
+_DENSE_START_MAX classes; a block with at most that many has the integer
+class quotient G = Bq^T diag(m_x) Bq, and B^T B maps class-constant
+vectors v to G (m_y * v).  A block of at most two classes is decided in
+closed form: rho^2 is the largest root of the characteristic polynomial
+t^2 - c2 t + c0 of the integer matrix G diag(m_y), bracketed by exact
+integer sign checks, with no product at all.  So the extremal and join
+graphs, with two distinct rows and two Y-classes, get the same certified
+bracket as their 4x4 quotient below.  A block of three or more classes
+iterates on G, with bounds that are those of the full class-constant
+iterate, and only a block with too many classes builds B.  Smaller graphs
+keep their rows as they are.
 
 Join-type and extremal graphs additionally admit a 4x4 equitable quotient
 matrix whose characteristic polynomial x^4 - c2 x^2 + c0 has integer
@@ -35,10 +40,11 @@ rho(join) < rho(extremal).
 from __future__ import annotations
 
 import math
-import os
+import operator
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -77,17 +83,6 @@ MAX_ITERATIONS = 100_000
 _DENSE_START_MAX = 16
 
 
-def default_tolerance() -> float:
-    """Configured tolerance; the RFL_DEFAULT_TOL env var overrides."""
-    raw = os.environ.get("RFL_DEFAULT_TOL")
-    if not raw:
-        return DEFAULT_TOL
-    try:
-        return float(raw)
-    except ValueError:
-        raise GraphError(f"RFL_DEFAULT_TOL must be a number, got {raw!r}") from None
-
-
 class ConvergenceError(RuntimeError):
     """Power iteration failed to converge within the iteration cap."""
 
@@ -116,8 +111,9 @@ def spectral_radius(
     Rayleigh quotient v.w / v.v is a lower bound on the block's radius (M is
     symmetric) and max_i w_i / v_i an upper bound (Collatz-Wielandt), so the
     start decides only how many products a block takes; a block stops once
-    the square roots of the two bounds differ by less than tol.  A block of
-    one Y-vertex is a star and has rho = sqrt(its degree).
+    the square roots of the two bounds differ by less than tol (DEFAULT_TOL
+    when None).  A block of one Y-vertex is a star and has rho = sqrt(its
+    degree).
 
     For n <= _DENSE_START_MAX the rows are used as they are.  With Bb the
     block's columns of B, a block of at most _DENSE_START_MAX Y-vertices
@@ -125,32 +121,37 @@ def spectral_radius(
     eigh| of it (or from all-ones if that has an entry <= 0), and takes each
     product as one s x s matrix-vector product on it.
 
-    For n > _DENSE_START_MAX the rows are counted once: Bd holds the d
-    distinct nonzero rows and m_x their multiplicities, B^T B = Bd^T
-    diag(m_x) Bd, and a star's degree is its bit's count.  Each block's
+    For n > _DENSE_START_MAX the rows are counted once (_row_counts): Bd
+    holds the d distinct nonzero rows and m_x their multiplicities, B^T B =
+    Bd^T diag(m_x) Bd, and a star's degree is its bit's count.  Each block's
     Y-vertices are split into twin classes (equal columns), giving up past
-    _DENSE_START_MAX classes (_twin_quotient).  A block with at most that
-    many classes takes its c x c quotient G = Bq^T diag(m_x) Bq over one
-    column per class, with class sizes m_y: for the class-constant vector
-    with class values v, M maps it to the class-constant vector with values
-    w = G (m_y * v), so the block starts from the Perron vector of the
-    symmetric diag(sqrt m_y) G diag(sqrt m_y), divided by sqrt m_y, and
-    iterates on class vectors with the bounds (m_y * v).w / (m_y * v).v
-    and max_i w_i / v_i, exactly the bounds above at the full n-long
-    iterate.  It never builds B.  A block of one class is complete
-    bipartite, K_{a,b} with a = G[0, 0] and b = m_y[0], and has rho^2 = a b
-    exactly, like a star.  A block with more classes builds B over the
-    distinct rows, starts from all-ones and never forms its Gram matrix:
-    one product is ((Bb v) * m_x) Bb, two d x s matrix-vector products.
+    _DENSE_START_MAX classes (_twin_classes).  For the class-constant vector
+    with class values v, M gives the class-constant vector with values
+    w = G (m_y * v), where G = Bq^T diag(m_x) Bq is the c x c quotient over
+    one column per class and m_y the class sizes.  A block of at most two
+    classes (the extremal and join graphs) takes no product: rho^2 is the
+    largest root of t^2 - c2 t + c0 with c2 and c0 the trace and the
+    determinant of the integer matrix G diag(m_y) (c0 = 0 for one class, a
+    complete bipartite K_{a,b} with rho^2 = a b), and its bracket
+    [value, value + residual] is the one quotient_spectral_radius gives,
+    decided by exact integer sign checks.  A block of 3 to
+    _DENSE_START_MAX classes starts from the Perron vector of the symmetric
+    diag(sqrt m_y) G diag(sqrt m_y), divided by sqrt m_y, and iterates on
+    class vectors with the bounds (m_y * v).w / (m_y * v).v and
+    max_i w_i / v_i, exactly the bounds above at the full n-long iterate.
+    Neither builds B.  A block with more classes builds B over the distinct
+    rows, starts from all-ones and never forms its Gram matrix: one product
+    is ((Bb v) * m_x) Bb, two d x s matrix-vector products.
 
-    Reports value = the certified lower end (it overshoots rho only by
-    float64 rounding; see bracket_contains), residual = the certified
-    bracket width in rho units, and iterations = the products v -> w over
-    all blocks.  Raises ConvergenceError once max_iterations products have
-    not closed every bracket.
+    Reports value = the largest certified lower end over the blocks (a
+    power-iteration end overshoots rho only by float64 rounding; see
+    bracket_contains), residual = the distance from it to the largest
+    upper end, and iterations = the products v -> w over all blocks.
+    Raises ConvergenceError once max_iterations products have not closed
+    every bracket.
     """
     if tol is None:
-        tol = default_tolerance()
+        tol = DEFAULT_TOL
     if not tol > 0:
         raise GraphError(f"tolerance must be positive, got {tol}")
     n = g.n
@@ -158,12 +159,11 @@ def spectral_radius(
     if n > _DENSE_START_MAX:
         # identical X-rows are identical rows of B: B^T B = Bd^T diag(m) Bd
         # over the distinct nonzero rows Bd and their multiplicities m
-        multiplicity = Counter(rows)
-        multiplicity.pop(0, None)
+        multiplicity = _row_counts(rows)
         rows = tuple(multiplicity)
         weights = np.array(tuple(multiplicity.values()), np.float64)
     b = None
-    lo = hi = 0.0
+    lo = hi = 0.0  # the largest lower and upper ends, in rho units
     iterations = 0
     blocks = _y_components(rows)
     block_rows = {} if weights is None else _rows_of_blocks(blocks, rows)
@@ -173,18 +173,18 @@ def spectral_radius(
             if multiplicity is None:
                 multiplicity = Counter(rows)
             # the star's X-neighbours are exactly the rows equal to its bit
-            degree = multiplicity[block]
-            lo, hi = max(lo, degree), max(hi, degree)
+            root = math.sqrt(multiplicity[block])
+            lo, hi = max(lo, root), max(hi, root)
             continue
         gram = y_sizes = perron = None
         if weights is not None:
-            quotient = _twin_quotient(block, block_rows.get(block, rows), multiplicity)
-            if quotient is not None:
-                gram, y_sizes = quotient
-                if len(y_sizes) == 1:  # one class: complete bipartite, rho^2 = a b
-                    square = float(gram[0, 0] * y_sizes[0])
-                    lo, hi = max(lo, square), max(hi, square)
+            split = _twin_classes(block, block_rows.get(block, rows))
+            if split is not None:
+                if len(split[0]) <= 2:
+                    value, upper = _certified_root(*_two_class_coeffs(*split, multiplicity))
+                    lo, hi = max(lo, value), max(hi, upper)
                     continue
+                gram, y_sizes = _twin_quotient(*split, multiplicity)
                 # G diag(m_y) is similar to the symmetric diag(sqrt m_y) G
                 # diag(sqrt m_y), whose Perron vector u gives v = u / sqrt m_y
                 root = np.sqrt(y_sizes)
@@ -212,11 +212,11 @@ def spectral_radius(
             # on a twin quotient v and w hold one entry per class, and the
             # full iterates repeat each m_y times
             mv = v if y_sizes is None else y_sizes * v
-            c_lo = mv.dot(w) / mv.dot(v)
             # builtin max over a list: on the few-vertex blocks of typical
             # calls a numpy reduction costs more than the product itself
             c_hi = max((w / v).tolist())
-            gap = math.sqrt(c_hi) - math.sqrt(c_lo)
+            root_lo, root_hi = math.sqrt(mv.dot(w) / mv.dot(v)), math.sqrt(c_hi)
+            gap = root_hi - root_lo
             if gap < tol:
                 break
             v = w / c_hi
@@ -225,19 +225,46 @@ def spectral_radius(
                 f"no convergence to tol={tol} within {max_iterations} iterations "
                 f"(last bracket width {gap:.3e})"
             )
-        lo, hi = max(lo, c_lo), max(hi, c_hi)
+        lo, hi = max(lo, root_lo), max(hi, root_hi)
     return SpectralReport(
-        value=math.sqrt(lo),
-        method="power-iteration",
-        iterations=iterations,
-        residual=max(math.sqrt(hi) - math.sqrt(lo), 0.0),
+        value=lo, method="power-iteration", iterations=iterations, residual=max(hi - lo, 0.0)
     )
+
+
+def _row_counts(rows: tuple[int, ...]) -> dict[int, int]:
+    """Multiplicity of each distinct nonzero row, in order of first appearance.
+
+    Python ints cache no hash, so Counter hashes every n-bit row.  Rows
+    written in runs of one object, as the builders write them, are instead
+    split where a row differs from the one before (an identical object
+    compares at once) and each run is hashed once.  The probe for runs
+    looks at the pairs of neighbours that start at every eighth row: a run
+    of nine or more rows holds one of them, and it costs an eighth of a
+    scan of all pairs.  Rows where it finds none, such as those of a
+    twin-free graph, go to Counter as they are.
+
+    The probe tests object identity, which depends on how the caller built
+    the tuple, not on the graph: the same extremal graph read by fileio,
+    relabelled or with its rows shuffled holds its equal rows as distinct
+    objects and takes Counter (rows below 257 can also share CPython's
+    cached small ints).  Both paths give the same counts.
+    """
+    if any(map(operator.is_, rows[::8], rows[1::8])):
+        starts = [0, *compress(range(1, len(rows)), map(operator.ne, rows, rows[1:]))]
+        counts: dict[int, int] = {}
+        for start, stop in zip(starts, starts[1:] + [len(rows)]):
+            row = rows[start]
+            counts[row] = counts.get(row, 0) + stop - start
+    else:
+        counts = Counter(rows)
+    counts.pop(0, None)
+    return counts
 
 
 def _rows_of_blocks(blocks: list[int], rows: tuple[int, ...]) -> dict[int, list[int]]:
     """The rows inside each block of two or more Y-vertices, when there are
     several such blocks; empty when there is at most one, whose rows
-    _twin_quotient then picks out of all of them itself.
+    _twin_classes then picks out of all of them itself.
 
     Each row lies inside one block, found from its lowest Y-vertex, so the
     rows are grouped in one pass instead of one pass for every block.
@@ -254,22 +281,18 @@ def _rows_of_blocks(blocks: list[int], rows: tuple[int, ...]) -> dict[int, list[
     return grouped
 
 
-def _twin_quotient(
-    block: int, rows: Iterable[int], multiplicity: Counter
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """The quotient of a block of B^T B by its Y-twin classes, or None if
-    the block has more than _DENSE_START_MAX classes.
+def _twin_classes(block: int, rows: Iterable[int]) -> tuple[list[int], list[int]] | None:
+    """The Y-twin classes of a block and the rows inside it, or None if the
+    block has more than _DENSE_START_MAX classes.
 
     rows holds distinct nonzero X-rows, among them every row inside the
-    block (the others are skipped), and multiplicity maps each to its
-    count m_x.  Y-vertices
-    with equal columns (twins) form an equitable partition of B^T B (Brouwer
-    and Haemers, Spectra of Graphs, sec. 2.3).  The classes start as the
-    block and are split by each row that meets it, as bitsets; the split
-    stops as soon as there are too many.  Returns (G, m_y): G = Bq^T
-    diag(m_x) Bq over one column Bq per class (exact integers in float64)
-    and m_y the class sizes, so B^T B (P v) = P (G (m_y * v)) for the 0/1
-    class indicator matrix P.
+    block (the others are skipped).  Y-vertices with equal columns (twins)
+    form an equitable partition of B^T B (Brouwer and Haemers, Spectra of
+    Graphs, sec. 2.3).  The classes start as the block and are split by
+    each row that meets it, as bitsets; the split stops as soon as there
+    are too many.  The classes come sorted by position, so the quotient
+    does not depend on the row order, and every inside row holds each
+    class whole or not at all.
     """
     classes = [block]
     inside_rows = []
@@ -289,12 +312,49 @@ def _twin_quotient(
             else:
                 split.append(members)
         classes = split
-    classes.sort()  # by position, so the quotient does not depend on the row order
+    classes.sort()
+    return classes, inside_rows
+
+
+def _twin_quotient(
+    classes: list[int], rows: list[int], multiplicity: dict[int, int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The quotient of a block of B^T B by its Y-twin classes, from
+    _twin_classes, with multiplicity mapping each inside row to its count
+    m_x.  Returns (G, m_y): G = Bq^T diag(m_x) Bq over one column Bq per
+    class (exact integers in float64) and m_y the class sizes, so
+    B^T B (P v) = P (G (m_y * v)) for the 0/1 class indicator matrix P.
+    """
     reps = [(members & -members).bit_length() - 1 for members in classes]
-    bq = np.array([[row >> rep & 1 for rep in reps] for row in inside_rows], np.float64)
-    counts = np.array([multiplicity[row] for row in inside_rows], np.float64)
+    bq = np.array([[row >> rep & 1 for rep in reps] for row in rows], np.float64)
+    counts = np.array([multiplicity[row] for row in rows], np.float64)
     sizes = np.array([members.bit_count() for members in classes], np.float64)
     return (bq.T * counts).dot(bq), sizes
+
+
+def _two_class_coeffs(
+    classes: list[int], rows: list[int], multiplicity: dict[int, int]
+) -> tuple[int, int]:
+    """Exact (c2, c0) of t^2 - c2 t + c0, the characteristic polynomial of
+    G diag(m_y) for a block of one or two Y-twin classes (_twin_classes).
+
+    With a and b the numbers of X-vertices adjacent to the first and the
+    second class and d the number adjacent to both, G = [[a, d], [d, b]],
+    so c2 = a s + b t and c0 = (a b - d^2) s t for class sizes s and t;
+    one class is t = 0, whose c0 = 0 leaves rho^2 = a s.
+    """
+    first, second = (*classes, 0)[:2]
+    a = b = d = 0
+    for row in rows:
+        m = multiplicity[row]
+        if row & first:
+            a += m
+            if row & second:
+                d += m
+        if row & second:
+            b += m
+    s, t = first.bit_count(), second.bit_count()
+    return a * s + b * t, (a * b - d * d) * s * t
 
 
 # Row i holds the bits of byte value i, least significant first, as float64.
@@ -408,22 +468,34 @@ def _root_sign(c2: int, c0: int, y: float) -> int:
     return (f < 0) - (f > 0)
 
 
-def quotient_spectral_radius(params: ExtremalParams) -> SpectralReport:
-    """Spectral radius of build_join(params) from its quotient matrix.
+def _certified_root(c2: int, c0: int) -> tuple[float, float]:
+    """Floats (value, upper) with value <= rho <= upper, for the largest
+    root rho of x^4 - c2 x^2 + c0 (integers c2 > 0, c0 >= 0, c2^2 >= 4 c0).
 
-    value is the closed form, stepped down by ulps until it is at most the
-    exact root, and residual the least power-of-two multiple of its ulp (or
-    0) that puts the root in [value, value + residual]; both ends are
-    decided by exact integer sign checks (_root_sign).
+    value is the closed form, stepped down by ulps until it is at most rho;
+    upper is value itself or value + 2^j ulp(value) for the least j at
+    which rho is not above it.  Both ends are decided by exact integer sign
+    checks (_root_sign).
     """
-    c2, c0 = biquadratic_coeffs(params.n, params.k, params.p)
     value = largest_biquadratic_root(c2, c0)
     while _root_sign(c2, c0, value) < 0:
         value = math.nextafter(value, 0.0)
-    residual = 0.0
-    while _root_sign(c2, c0, value + residual) > 0:
-        residual = 2 * residual or math.ulp(value)
-    return SpectralReport(value, "quotient-closed-form", 0, residual)
+    upper, step = value, 0.0
+    while _root_sign(c2, c0, upper) > 0:
+        step = 2 * step or math.ulp(value)
+        upper = value + step
+    return value, upper
+
+
+def quotient_spectral_radius(params: ExtremalParams) -> SpectralReport:
+    """Spectral radius of build_join(params) from its quotient matrix.
+
+    value and value + residual are the certified ends of _certified_root
+    on biquadratic_coeffs(params); residual is their difference, exact in
+    float64.
+    """
+    value, upper = _certified_root(*biquadratic_coeffs(params.n, params.k, params.p))
+    return SpectralReport(value, "quotient-closed-form", 0, upper - value)
 
 
 def extremal_spectral_radius(n: int, k: int) -> float:
@@ -461,16 +533,20 @@ class SpectralMargin:
 
 
 def join_margin(params: ExtremalParams, tol: float | None = None) -> SpectralMargin:
-    """Strict-inequality check rho(join) < rho(extremal), by both the closed
-    form and power iteration, plus the sign of the polynomial difference at
-    sqrt(n(n-1)).
+    """Strict-inequality check rho(join) < rho(extremal), by the closed
+    form checked against spectral_radius on each graph, plus the sign of
+    the polynomial difference at sqrt(n(n-1)).
 
     The verdict and the sign are exact integer arithmetic on the
     biquadratic coefficients; rho^2 = (c2 + sqrt(c2^2 - 4 c0)) / 2, so
     rho_J < rho_B exactly when sqrt(d_B) - sqrt(d_J) > c2_J - c2_B.
     Requires p >= k+1 (p = k compares the extremal graph with itself).
     Raises InconsistencyError if a closed form lies outside the certified
-    bracket of power iteration on its graph (see bracket_contains).
+    bracket spectral_radius reports on its graph (see bracket_contains).
+    That bracket is power iteration's for n <= _DENSE_START_MAX; above it,
+    each graph's one block of two Y-classes is decided in closed form from
+    the trace and determinant of its class quotient, taken from the built
+    graph's rows, so a wrong biquadratic_coeffs still shows.
     """
     n, k, p = params.n, params.k, params.p
     if p < k + 1:

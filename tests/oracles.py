@@ -5,8 +5,9 @@ set of X-vertices, connected components by breadth-first search, the 4x4
 equitable quotient matrix of the join graphs with its characteristic
 polynomial, against which the library's integer coefficients are checked,
 the complete-block, quasi-complement and bowtie-join builders that
-compose the extremal and join graphs the library writes row by row, and
-the extremal signature by degrees and comparison with a built copy."""
+compose the extremal and join graphs the library writes row by row, the
+extremal signature by degrees and comparison with a built copy, and the
+deletion of one vertex's edges."""
 
 from collections import Counter, deque
 from dataclasses import dataclass
@@ -259,3 +260,18 @@ def _vertex_bits(vertices: Iterable[int], lo: int, hi: int) -> int:
             raise GraphError(f"vertex {v} outside part range {lo}..{hi}")
         mask |= 1 << (v - lo)
     return mask
+
+
+def induced_delete_vertex(g: BipartiteGraph, v: int) -> BipartiteGraph:
+    """Remove all edges at v, keeping the labeling (v becomes isolated).
+    No longer part of the library, which deletes no vertices."""
+    n = g.n
+    if not (1 <= v <= 2 * n):
+        raise GraphError(f"vertex {v} out of range 1..{2 * n}")
+    if v <= n:
+        rows = list(g.x_rows)
+        rows[v - 1] = 0
+        return BipartiteGraph(n, tuple(rows))
+    bit = ~(1 << (v - n - 1))
+    return BipartiteGraph(n, tuple(row & bit for row in g.x_rows))
+

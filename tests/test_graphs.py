@@ -10,7 +10,6 @@ from rfl.graphs import (
     build_extremal,
     build_join,
     extremal_signature,
-    induced_delete_vertex,
     is_extremal_isomorphic,
     labeled_extremal_copy,
 )
@@ -18,6 +17,7 @@ from tests.oracles import (
     bowtie_join,
     build_complete_bipartite,
     extremal_signature_by_copy,
+    induced_delete_vertex,
     quasi_complement,
 )
 

@@ -419,7 +419,7 @@ class TestCLI:
         assert "error:" in capsys.readouterr().err
 
     def test_default_tol_env_override(self, monkeypatch):
-        from rfl.spectral import default_tolerance
+        from rfl.cli import default_tolerance
 
         monkeypatch.setenv("RFL_DEFAULT_TOL", "1e-6")
         assert default_tolerance() == 1e-6

@@ -1,4 +1,5 @@
 import math
+import operator
 import tracemalloc
 from collections import Counter
 from decimal import Decimal, localcontext
@@ -16,11 +17,16 @@ from rfl.graphs import (
 )
 from rfl.spectral import (
     _DENSE_START_MAX,
+    DEFAULT_TOL,
     ConvergenceError,
     InconsistencyError,
     SpectralReport,
+    _certified_root,
+    _row_counts,
     _sqrt_diff_sign,
+    _twin_classes,
     _twin_quotient,
+    _two_class_coeffs,
     _y_components,
     biquadratic_coeffs,
     bracket_contains,
@@ -56,6 +62,26 @@ def staircase(n: int) -> BipartiteGraph:
     """X-vertex i is adjacent to the first i Y-vertices: no two Y-vertices
     (or X-vertices) are twins, and the graph is connected."""
     return BipartiteGraph(n, tuple((1 << i) - 1 for i in range(1, n + 1)))
+
+
+def three_class(n: int) -> BipartiteGraph:
+    """One block of three Y-twin classes: the thirds C1, C2, C3 of Y (C3
+    takes the remainder), and a quarter of the X-rows each C1 + C2 + C3,
+    C1 + C2 and C2 + C3, the rest C1.  Its quotient is 3 x 3, so it
+    iterates where the two-class extremal and join graphs take no product."""
+    third = n // 3
+    c1, c2, c3 = (1 << third) - 1, ((1 << third) - 1) << third, (1 << n) - (1 << 2 * third)
+    quarter = n // 4
+    rows = (c1 | c2 | c3,) * quarter + (c1 | c2,) * quarter + (c2 | c3,) * quarter
+    return BipartiteGraph(n, rows + (c1,) * (n - 3 * quarter))
+
+
+def fresh(rows) -> tuple[int, ...]:
+    """The same rows as new int objects, none the same object as another,
+    so that no run of identical rows can be seen."""
+    return tuple(
+        int.from_bytes(row.to_bytes(row.bit_length() // 8 + 1, "little"), "little") for row in rows
+    )
 
 
 def assert_bracket_contains(g: BipartiteGraph, report) -> None:
@@ -179,11 +205,11 @@ class TestPowerIteration:
         assert fallback.iterations > 1
         assert_bracket_contains(g, fallback)
         # a twin quotient falls back to the class vector of all-ones, the
-        # full all-ones start, and takes the 4 products the matrix-free loop
-        # takes from it (test_iteration_counts_pinned)
-        g = build_extremal(100, 3)
+        # full all-ones start, and takes the 19 products the matrix-free loop
+        # takes from it (test_iteration_counts_of_three_class_blocks_pinned)
+        g = three_class(100)
         fallback = spectral_radius(g)
-        assert fallback.iterations == 4
+        assert fallback.iterations == 19
         assert_bracket_contains(g, fallback)
 
     def test_slow_top_component_beside_small_one(self):
@@ -245,18 +271,37 @@ class TestPowerIteration:
         [(100, 3, 3, 4), (300, 4, 4, 3), (1000, 2, 2, 3), (100, 3, 33, 12), (300, 4, 100, 12)],
     )
     def test_iteration_counts_pinned(self, n, k, p, matrix_free, monkeypatch):
-        # the benchmark's work count sums these; a change to the product or
-        # the stopping rule must not move them unseen (p = k: the extremal
-        # graph).  Each graph has two Y-twin classes, so its block closes in
-        # one product on the class quotient; with the quotient refused, as
-        # for a block of more than _DENSE_START_MAX classes, the matrix-free
-        # loop from all-ones takes matrix_free products
+        # the benchmark's work count sums these (p = k: the extremal graph)
+        # and reads 0: each graph has two Y-twin classes, so its block is
+        # decided in closed form with no product.  With the twin split
+        # refused, as for a block of more than _DENSE_START_MAX classes, the
+        # matrix-free loop from all-ones takes matrix_free products, which
+        # a change to the product or the stopping rule must not move unseen
         import rfl.spectral
 
         g = build_extremal(n, k) if p == k else build_join(ExtremalParams(n, k, p))
-        assert spectral_radius(g).iterations == 1
-        monkeypatch.setattr(rfl.spectral, "_twin_quotient", lambda *args: None)
+        assert spectral_radius(g).iterations == 0
+        monkeypatch.setattr(rfl.spectral, "_twin_classes", lambda *args: None)
         assert spectral_radius(g).iterations == matrix_free
+
+    @pytest.mark.parametrize(
+        "n, quotient, matrix_free", [(100, 1, 19), (300, 1, 20), (1000, 1, 20)]
+    )
+    def test_iteration_counts_of_three_class_blocks_pinned(
+        self, n, quotient, matrix_free, monkeypatch
+    ):
+        # three classes iterate: from the Perron vector of the 3 x 3
+        # quotient the block closes in one product, refused it takes
+        # matrix_free products from all-ones
+        import rfl.spectral
+
+        g = three_class(n)
+        report = spectral_radius(g)
+        assert report.iterations == quotient
+        monkeypatch.setattr(rfl.spectral, "_twin_classes", lambda *args: None)
+        refused = spectral_radius(g)
+        assert refused.iterations == matrix_free
+        assert bracket_contains(refused, report.value, n)
 
     def test_iteration_counts_of_twin_free_blocks_pinned(self):
         # no twins: these blocks refuse the quotient and run matrix-free
@@ -347,6 +392,18 @@ class TestPowerIteration:
         with pytest.raises(ConvergenceError):
             spectral_radius(build_extremal(6, 2), max_iterations=0)
 
+    def test_library_ignores_default_tol_env(self, monkeypatch):
+        # RFL_DEFAULT_TOL belongs to the CLI: the library defaults to
+        # DEFAULT_TOL whatever the environment holds, malformed or not
+        g = path_graph(20)
+        expected = spectral_radius(g, tol=DEFAULT_TOL)
+        params = ExtremalParams(40, 3, 13)
+        margin = join_margin(params)
+        for raw in ("abc", "1e-2"):
+            monkeypatch.setenv("RFL_DEFAULT_TOL", raw)
+            assert spectral_radius(g) == expected
+            assert join_margin(params) == margin
+
     def test_rejects_bad_tolerance(self):
         with pytest.raises(GraphError):
             spectral_radius(BipartiteGraph.empty(2), tol=0.0)
@@ -379,14 +436,24 @@ class TestTwinQuotient:
         )
 
     @staticmethod
-    def quotients(g: BipartiteGraph) -> list:
-        """_twin_quotient of each block of two or more Y-vertices."""
+    def splits(g: BipartiteGraph) -> list:
+        """_twin_classes of each block of two or more Y-vertices, with the
+        row counts."""
         count = Counter(g.x_rows)
         count.pop(0, None)
         return [
-            _twin_quotient(block, tuple(count), count)
+            (_twin_classes(block, tuple(count)), count)
             for block in _y_components(tuple(count))
             if block.bit_count() > 1
+        ]
+
+    @classmethod
+    def quotients(cls, g: BipartiteGraph) -> list:
+        """_twin_quotient of each block of two or more Y-vertices, None for
+        a block with too many classes."""
+        return [
+            None if split is None else _twin_quotient(*split, count)
+            for split, count in cls.splits(g)
         ]
 
     def test_twin_rich_graphs_against_dense_and_relabelings(self, rng):
@@ -447,10 +514,11 @@ class TestTwinQuotient:
         # with every dense start refused the quotient iterates from the
         # all-ones class vector; a tolerance that stops after one product
         # shows its bracket, which must be the Rayleigh and Collatz-Wielandt
-        # bounds of B^T B at the full all-ones vector
+        # bounds of B^T B at the full all-ones vector.  Blocks of two
+        # classes take no product, so these have three and four
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda a: (eigh(a)[0], np.eye(len(a))))
-        graphs = [build_join(ExtremalParams(n, 3, p)) for n, p in ((17, 5), (40, 13), (64, 40))]
+        graphs = [three_class(n) for n in (17, 40, 64)]
         graphs.append(self.from_columns(20, [0b111 << (j % 4) for j in range(20)]))
         for g in graphs:
             b = np.array([[row >> j & 1 for j in range(g.n)] for row in g.x_rows], float)
@@ -467,8 +535,17 @@ class TestTwinQuotient:
         g = BipartiteGraph(n, rows)
         (gram, sizes), = self.quotients(g)
         assert gram.tolist() == [[20.0]] and sizes.tolist() == [25.0]
+        ((classes, rows), count), = self.splits(g)
+        assert _two_class_coeffs(classes, rows, count) == (500, 0)
+        # rho = sqrt(500) exactly, bracketed by exact sign checks: the
+        # float sqrt(500) lies above it, so value is one ulp below
         report = spectral_radius(g)
-        assert (report.value, report.iterations, report.residual) == (math.sqrt(500), 0, 0.0)
+        assert (report.value, report.iterations, report.value + report.residual) == (
+            math.nextafter(math.sqrt(500), 0),
+            0,
+            math.sqrt(500),
+        )
+        assert Fraction(report.value) ** 2 <= 500 <= Fraction(report.value + report.residual) ** 2
         assert_bracket_contains(g, report)
 
     def test_class_limit(self):
@@ -500,6 +577,8 @@ class TestTwinQuotient:
                     c2, c0 = biquadratic_coeffs(n, k, p)
                     assert q[0][0] + q[1][1] == c2
                     assert q[0][0] * q[1][1] - q[0][1] * q[1][0] == c0
+                    ((classes, rows), count), = self.splits(g)
+                    assert _two_class_coeffs(classes, rows, count) == (c2, c0)
 
     def test_no_biadjacency_for_extremal_and_join_graphs(self, monkeypatch):
         import rfl.spectral
@@ -510,9 +589,97 @@ class TestTwinQuotient:
         monkeypatch.setattr(rfl.spectral, "_biadjacency", refuse)
         n = 1000
         for k in (2, 3, 5):
-            assert spectral_radius(build_extremal(n, k)).iterations == 1
-            assert spectral_radius(build_join(ExtremalParams(n, k, n // 3))).iterations == 1
+            assert spectral_radius(build_extremal(n, k)).iterations == 0
+            assert spectral_radius(build_join(ExtremalParams(n, k, n // 3))).iterations == 0
         assert join_margin(ExtremalParams(n, 3, 333)).holds
+
+    @pytest.mark.parametrize("n", [17, 100, 1000])
+    def test_two_class_blocks_match_the_closed_form_bit_for_bit(self, n, rng, monkeypatch):
+        # the extremal and join graphs have one block of two Y-classes:
+        # no product, and the bracket quotient_spectral_radius gives on the
+        # 4 x 4 quotient, in the builders' row order (runs, counted without
+        # Counter), in a shuffled order of fresh row objects (Counter) and
+        # transposed
+        import rfl.spectral
+
+        counted = []
+
+        def spy(rows):
+            counted.append(len(rows))
+            return Counter(rows)
+
+        monkeypatch.setattr(rfl.spectral, "Counter", spy)
+        for k in range(2, 6):
+            for p in sorted({k, k + 1, n // 3, n - 1}):
+                params = ExtremalParams(n, k, p)
+                closed = quotient_spectral_radius(params)
+                g = build_extremal(n, k) if p == k else build_join(params)
+                # ints up to 256 are cached and cannot be made fresh: draw
+                # again until no two of them are neighbours
+                rows = g.x_rows
+                while any(map(operator.is_, rows, rows[1:])):
+                    rows = fresh(g.x_rows[int(i)] for i in rng.permutation(n))
+                shuffled = BipartiteGraph(n, rows)
+                graphs = [(g, False), (shuffled, True)]
+                if n < 1000 or k == 2:  # a transpose takes about 0.1 s at n = 1000
+                    graphs.append((g.transposed(), None))
+                for h, by_counter in graphs:
+                    counted.clear()
+                    report = spectral_radius(h)
+                    assert report.iterations == 0, (k, p)
+                    bracket = (report.value, report.residual)
+                    assert bracket == (closed.value, closed.residual), (k, p)
+                    if by_counter is not None:
+                        assert counted == ([n] if by_counter else []), (k, p)
+
+    @pytest.mark.parametrize("larger", ["two-class", "twin-free"])
+    def test_two_class_block_beside_a_twin_free_block(self, larger):
+        # Y-vertices 1..a form a complete bipartite block minus one edge
+        # (two classes) on X-vertices 1..a; the rest a staircase (twin-free,
+        # matrix-free) on the other X-vertices.  The report takes the larger
+        # block's ends
+        n, a = 60, (30 if larger == "two-class" else 8)
+        top = (1 << a) - 1
+        rows = [top] * (a - 1) + [top >> 1] + [0] * (n - a)
+        rows[a:] = [((1 << i) - 1) << a for i in range(1, n - a + 1)]
+        g = BipartiteGraph(n, tuple(rows))
+        ((classes, inside), count), *others = self.splits(g)
+        assert len(classes) == 2 and others == [(None, count)]
+        report = spectral_radius(g)
+        rho = dense_rho(g)
+        assert bracket_contains(report, rho, n)
+        assert_bracket_contains(g, report)
+        two_class = _certified_root(*_two_class_coeffs(classes, inside, count))
+        assert report.iterations > 0  # the staircase's products
+        if larger == "two-class":
+            assert (report.value, report.value + report.residual) == two_class
+        else:
+            assert report.value > two_class[1]
+
+
+class TestRowCounts:
+    def test_runs_interleaved_runs_zeros_and_none(self, rng):
+        # the same multiplicities, in the same first-appearance order, as
+        # Counter over the nonzero rows: rows in runs of one object (a value
+        # may come back in a later run), runs of equal but fresh objects,
+        # zero rows, and rows with no run at all
+        a, b, c = (1 << 70) - 1, 1 << 40 | 5, 3
+        cases = [
+            (a,) * 5 + (b,) * 3,
+            (a, a, b, b, a, a, 0, 0, c, b),
+            (0, 0, 0),
+            fresh((a, a, a, b)) + (b, b),
+            fresh((a, b, a, b, c, a)),
+            (),
+        ]
+        for _ in range(50):
+            pool = [int(v) << 20 for v in rng.integers(0, 4, 3)]
+            cases.append(tuple(pool[int(i)] for i in rng.integers(0, 3, int(rng.integers(1, 30)))))
+        for rows in cases:
+            expected = Counter(rows)
+            expected.pop(0, None)
+            counts = _row_counts(rows)
+            assert list(counts.items()) == list(expected.items()), rows
 
 
 class TestYComponents:
