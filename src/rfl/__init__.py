@@ -1,20 +1,18 @@
 """Rainbow k-factor lab: spectral and combinatorial machinery for families
 of balanced bipartite graphs at desk scale."""
 
-from .construction import construct_rainbow_factor_extremal, repair_multiedges
+from .construction import construct_rainbow_factor_extremal
 from .factors import (
     ABSENT,
     BUDGET_EXHAUSTED,
     FOUND,
-    MatchingSchedule,
     RainbowFactor,
     SearchResult,
     audit_shifted_family,
-    diagonal_matching_schedule,
-    k_factor_exists,
     rainbow_k_factor_search,
     rainbow_perfect_matching_search,
 )
+from .flow import k_factor_exists
 from .graphs import (
     BipartiteGraph,
     ExtremalParams,
@@ -22,7 +20,6 @@ from .graphs import (
     GraphFamily,
     build_extremal,
     build_join,
-    is_extremal_isomorphic,
     labeled_extremal_copy,
 )
 from .harness import (
@@ -43,7 +40,6 @@ from .spectral import (
     bracket_contains,
     extremal_spectral_radius,
     join_margin,
-    largest_biquadratic_root,
     spectral_radius,
 )
 
@@ -60,7 +56,6 @@ __all__ = [
     "GraphError",
     "GraphFamily",
     "InconsistencyError",
-    "MatchingSchedule",
     "RainbowFactor",
     "SearchResult",
     "ShiftTrace",
@@ -73,19 +68,15 @@ __all__ = [
     "build_extremal",
     "build_join",
     "construct_rainbow_factor_extremal",
-    "diagonal_matching_schedule",
     "extremal_spectral_radius",
     "generate_extremal_variant_family",
     "generate_random_bipartite",
     "is_bi_shifted",
-    "is_extremal_isomorphic",
     "join_margin",
     "k_factor_exists",
     "labeled_extremal_copy",
-    "largest_biquadratic_root",
     "rainbow_k_factor_search",
     "rainbow_perfect_matching_search",
-    "repair_multiedges",
     "run_campaign",
     "spectral_radius",
     "xy_shift",

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 
 from . import fileio
@@ -21,7 +20,6 @@ from .graphs import ExtremalParams, GraphError, GraphFamily, build_extremal, bui
 from .harness import CAMPAIGNS, ExperimentConfig, run_campaign
 from .shifting import shift_family
 from .spectral import (
-    DEFAULT_TOL,
     ConvergenceError,
     InconsistencyError,
     quotient_spectral_radius,
@@ -33,26 +31,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        # the environment is read here, once a command, never by the library
-        if "tol" in args and args.tol is None:
-            args.tol = default_tolerance()
         return args.handler(args)
     except (GraphError, OSError, ConvergenceError, InconsistencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-def default_tolerance() -> float:
-    """The tolerance the rfl commands use when --tol is absent: DEFAULT_TOL,
-    or the RFL_DEFAULT_TOL environment variable if set.  The library reads
-    no environment; its functions default to DEFAULT_TOL."""
-    raw = os.environ.get("RFL_DEFAULT_TOL")
-    if not raw:
-        return DEFAULT_TOL
-    try:
-        return float(raw)
-    except ValueError:
-        raise GraphError(f"RFL_DEFAULT_TOL must be a number, got {raw!r}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -72,7 +54,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rho", help="spectral radius of a graph file")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--method", choices=["power", "quotient"], default="power")
-    p.add_argument("--tol", type=float, default=None)
     p.add_argument("--k", type=int, default=None, help="required for --method quotient")
     p.add_argument("--p", type=int, default=None)
     p.set_defaults(handler=_cmd_rho)
@@ -101,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kmax", type=int, required=True)
     p.add_argument("--nmax", type=int, required=True)
     p.add_argument("--out", default=None, help="CSV path; stdout when omitted")
-    p.set_defaults(handler=_cmd_margin_grid, tol=None)  # RFL_DEFAULT_TOL only
+    p.set_defaults(handler=_cmd_margin_grid)
 
     p = sub.add_parser("campaign", help="run a verification campaign")
     p.add_argument("name", choices=list(CAMPAIGNS))
@@ -113,7 +94,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-min", type=int, default=2)
     p.add_argument("--k-max", type=int, default=4)
     p.add_argument("--budget", type=int, default=2_000_000)
-    p.add_argument("--tol", type=float, default=None)
     p.set_defaults(handler=_cmd_campaign)
 
     return parser
@@ -131,7 +111,7 @@ def _cmd_build_extremal(args) -> int:
 def _cmd_rho(args) -> int:
     g = fileio.read_graph(args.infile)
     if args.method == "power":
-        report = spectral_radius(g, tol=args.tol)
+        report = spectral_radius(g)
     else:
         if args.k is None:
             raise GraphError("--method quotient requires --k")
@@ -207,7 +187,7 @@ def _cmd_margin_grid(args) -> int:
     """CSV view of the lemma33-grid campaign, one row per case in report
     order; a case the library could not decide is a false row, its error on
     stderr."""
-    config = ExperimentConfig(n_range=(4, args.nmax), k_range=(2, args.kmax), tol=args.tol)
+    config = ExperimentConfig(n_range=(4, args.nmax), k_range=(2, args.kmax))
     report = run_campaign("lemma33-grid", config)
     lines = ["n,k,p,rho_join,rho_B,margin,holds"]
     for case in report.cases:
@@ -236,7 +216,6 @@ def _cmd_campaign(args) -> int:
         n_range=(args.n_min, args.n_max),
         k_range=(args.k_min, args.k_max),
         trials=args.trials,
-        tol=args.tol,
         search_budget=args.budget,
         output_path=args.out,
     )

@@ -84,14 +84,14 @@ def construct_rainbow_factor_extremal(family: GraphFamily) -> RainbowFactor:
         )
         chosen_slots.update(subset)
     if merged:
-        merged = repair_multiedges(merged, family)
+        merged = _repair_multiedges(merged, family)
     if len(chosen_slots) == k * n:
         return _finish(family, merged)
 
     rest = [s for s in range(1, k * n + 1) if s not in chosen_slots]
     blocks = [rest[i : i + n] for i in range(0, len(rest), n)]
     merged.update(_match_blocks(n, signatures, blocks))
-    merged = repair_multiedges(merged, family)
+    merged = _repair_multiedges(merged, family)
     return _finish(family, merged)
 
 
@@ -230,9 +230,7 @@ def _match_blocks(
     return out
 
 
-def repair_multiedges(
-    assignment: Assignment, family: GraphFamily, max_attempts: int | None = None
-) -> Assignment:
+def _repair_multiedges(assignment: Assignment, family: GraphFamily) -> Assignment:
     """Remove duplicate edges from a regular multigraph union of assigned
     edges by degree-preserving swaps that respect per-slot membership.
 
@@ -241,12 +239,13 @@ def repair_multiedges(
     duplicated edge copy via a 2-swap (two slots trade into two fresh edges)
     or, failing that, a 3-swap through an intermediate edge.  Every applied
     swap strictly decreases the number of excess duplicate copies, so the
-    attempt cap (10 * (kn)^2 by default) only trips on instances outside the
-    precondition."""
-    n = family.n
+    cap of 10 * (kn)^2 attempts only trips on instances outside the
+    precondition.  Every swap keeps the degrees and takes edges of the
+    slots' own graphs, so the preconditions are checked on entry only; the
+    caller validates the factor it returns."""
     edges = dict(assignment)
     _check_repair_preconditions(edges, family)
-    cap = max_attempts if max_attempts is not None else 10 * len(family) ** 2
+    cap = 10 * len(family) ** 2
     attempts = 0
     while True:
         counts = Counter(edges.values())
@@ -265,7 +264,6 @@ def repair_multiedges(
                 f"no eligible swap for duplicate edge {target}; "
                 f"assignment {sorted(edges.items())}"
             )
-    _check_repair_preconditions(edges, family)
     return edges
 
 

@@ -41,14 +41,11 @@ __all__ = [
     "ABSENT",
     "BUDGET_EXHAUSTED",
     "RainbowFactor",
-    "MatchingSchedule",
     "SearchResult",
     "FamilyAuditReport",
     "MemberAudit",
-    "k_factor_exists",
     "rainbow_k_factor_search",
     "rainbow_perfect_matching_search",
-    "diagonal_matching_schedule",
     "audit_shifted_family",
 ]
 
@@ -94,7 +91,7 @@ class RainbowFactor:
 
 
 @dataclass(frozen=True)
-class MatchingSchedule:
+class _MatchingSchedule:
     """k pairwise edge-disjoint perfect matchings on [2n]."""
 
     n: int
@@ -554,7 +551,7 @@ def _incident(structure: tuple, s: int, p: int, s2: int, p2: int) -> tuple[int, 
     return 0, yc[p][p2]
 
 
-def diagonal_matching_schedule(n: int, k: int) -> MatchingSchedule:
+def _diagonal_matching_schedule(n: int, k: int) -> _MatchingSchedule:
     """The k anti-diagonal perfect matchings: matching i pairs X-vertex j
     with n+i-j for j < i and with 2n+i-j for j >= i."""
     if not (1 <= k <= n):
@@ -565,7 +562,7 @@ def diagonal_matching_schedule(n: int, k: int) -> MatchingSchedule:
             (j, n + i - j) if j <= i - 1 else (j, 2 * n + i - j) for j in range(1, n + 1)
         )
         matchings.append(edges)
-    schedule = MatchingSchedule(n, k, tuple(matchings))
+    schedule = _MatchingSchedule(n, k, tuple(matchings))
     schedule.validate()
     return schedule
 
@@ -608,9 +605,7 @@ class FamilyAuditReport:
         return tuple(m for m in self.members if m.violated)
 
 
-def audit_shifted_family(
-    family: GraphFamily, rho_threshold: float, tol: float | None = None
-) -> FamilyAuditReport:
+def audit_shifted_family(family: GraphFamily, rho_threshold: float) -> FamilyAuditReport:
     """For each bi-shifted member meeting the spectral threshold, check the
     structural facts a member above the extremal radius must satisfy:
 
@@ -626,13 +621,13 @@ def audit_shifted_family(
     n, k = family.n, family.k
     corner = {(k, 2 * n), (n, n + k)}
     interior = [e for j, e in boundary_edges(n, k).items() if k + 1 <= j <= n - 1]
-    schedule = diagonal_matching_schedule(n, k)
+    schedule = _diagonal_matching_schedule(n, k)
     schedule_edges = [e for m in schedule.matchings for e in m if e not in corner]
     audits = []
     for idx, g in enumerate(family.members, start=1):
         if not is_bi_shifted(g):
             raise GraphError(f"member {idx} is not bi-shifted")
-        rho = spectral_radius(g, tol=tol).value
+        rho = spectral_radius(g).value
         meets = rho >= rho_threshold - 1e-9
         if not meets:
             audits.append(MemberAudit(idx, rho, False, None, None, None, ()))

@@ -292,33 +292,3 @@ def extremal_signature(g: BipartiteGraph, k: int) -> tuple[int, tuple[int, ...]]
         return None
     cut = {i for i, _row in short}
     return (n + missing.bit_length(), tuple(i + 1 for i in range(n) if i not in cut))
-
-
-def is_extremal_isomorphic(g: BipartiteGraph, n: int, k: int) -> bool:
-    """Whether g is isomorphic to build_extremal(n, k).
-
-    Decided by canonical relabeling: the unique degree-(k-1) vertex goes to
-    2n (after an X/Y swap if needed), its neighbors to {1..k-1}, remaining
-    vertices in index order; then compare edge-for-edge.
-    """
-    if g.n != n:
-        return False
-    deficient = [v for v in range(1, 2 * n + 1) if g.degree(v) == k - 1]
-    if len(deficient) != 1:
-        return False
-    u = deficient[0]
-    if u <= n:
-        g = g.transposed()
-        u = u + n
-    nbrs = sorted(g.neighbors(u))  # subset of X
-    perm: dict[int, int] = {u: 2 * n}
-    for target, v in enumerate(nbrs, start=1):
-        perm[v] = target
-    nbr_set = set(nbrs)
-    rest_x = [v for v in range(1, n + 1) if v not in nbr_set]
-    for target, v in enumerate(rest_x, start=k):
-        perm[v] = target
-    rest_y = [v for v in range(n + 1, 2 * n + 1) if v != u]
-    for target, v in enumerate(rest_y, start=n + 1):
-        perm[v] = target
-    return g.relabeled(perm) == build_extremal(n, k)

@@ -57,6 +57,8 @@ from .graphs import (
     build_join,
 )
 
+# The width below which an iterating block's certified bracket must close,
+# and the cap on products per call; spectral_radius reads both when called.
 DEFAULT_TOL = 1e-10
 MAX_ITERATIONS = 100_000
 
@@ -99,9 +101,7 @@ class SpectralReport:
     residual: float  # rho lies in [value, value + residual]
 
 
-def spectral_radius(
-    g: BipartiteGraph, tol: float | None = None, max_iterations: int = MAX_ITERATIONS
-) -> SpectralReport:
+def spectral_radius(g: BipartiteGraph) -> SpectralReport:
     """Spectral radius from certified power iteration on M = B^T B.
 
     B is the n x n biadjacency matrix (rows X, columns Y), so rho(G)^2 =
@@ -111,9 +111,10 @@ def spectral_radius(
     Rayleigh quotient v.w / v.v is a lower bound on the block's radius (M is
     symmetric) and max_i w_i / v_i an upper bound (Collatz-Wielandt), so the
     start decides only how many products a block takes; a block stops once
-    the square roots of the two bounds differ by less than tol (DEFAULT_TOL
-    when None).  A block of one Y-vertex is a star and has rho = sqrt(its
-    degree).
+    the square roots of the two bounds differ by less than DEFAULT_TOL.  The
+    bracket holds whatever the tolerance, which sets only its width.  A
+    block of one Y-vertex is a star with rho = sqrt(its degree d), bracketed
+    as the largest root of x^4 - d x^2 by _certified_root.
 
     For n <= _DENSE_START_MAX the rows are used as they are.  With Bb the
     block's columns of B, a block of at most _DENSE_START_MAX Y-vertices
@@ -147,13 +148,9 @@ def spectral_radius(
     power-iteration end overshoots rho only by float64 rounding; see
     bracket_contains), residual = the distance from it to the largest
     upper end, and iterations = the products v -> w over all blocks.
-    Raises ConvergenceError once max_iterations products have not closed
+    Raises ConvergenceError once MAX_ITERATIONS products have not closed
     every bracket.
     """
-    if tol is None:
-        tol = DEFAULT_TOL
-    if not tol > 0:
-        raise GraphError(f"tolerance must be positive, got {tol}")
     n = g.n
     rows, multiplicity, weights = g.x_rows, None, None
     if n > _DENSE_START_MAX:
@@ -173,8 +170,8 @@ def spectral_radius(
             if multiplicity is None:
                 multiplicity = Counter(rows)
             # the star's X-neighbours are exactly the rows equal to its bit
-            root = math.sqrt(multiplicity[block])
-            lo, hi = max(lo, root), max(hi, root)
+            value, upper = _certified_root(multiplicity[block], 0)
+            lo, hi = max(lo, value), max(hi, upper)
             continue
         gram = y_sizes = perron = None
         if weights is not None:
@@ -202,7 +199,7 @@ def spectral_radius(
         else:
             v = np.ones(size if y_sizes is None else len(y_sizes))
         gap = math.inf
-        for _ in range(max_iterations - iterations):
+        for _ in range(MAX_ITERATIONS - iterations):
             iterations += 1
             # matmul takes B's strided column view as it is; .dot would copy
             # it whole on every call.  A block without a Gram matrix has
@@ -217,12 +214,12 @@ def spectral_radius(
             c_hi = max((w / v).tolist())
             root_lo, root_hi = math.sqrt(mv.dot(w) / mv.dot(v)), math.sqrt(c_hi)
             gap = root_hi - root_lo
-            if gap < tol:
+            if gap < DEFAULT_TOL:
                 break
             v = w / c_hi
         else:
             raise ConvergenceError(
-                f"no convergence to tol={tol} within {max_iterations} iterations "
+                f"no convergence to tol={DEFAULT_TOL} within {MAX_ITERATIONS} iterations "
                 f"(last bracket width {gap:.3e})"
             )
         lo, hi = max(lo, root_lo), max(hi, root_hi)
@@ -441,7 +438,7 @@ def biquadratic_coeffs(n: int, k: int, p: int) -> tuple[int, int]:
     return n * b + (p - 1) * (p - k + 1), b * (p - k + 1) * (n - p + 1) * (p - 1)
 
 
-def largest_biquadratic_root(c2: float, c0: float) -> float:
+def _largest_biquadratic_root(c2: float, c0: float) -> float:
     """Largest real root of x^4 - c2 x^2 + c0: sqrt((c2 + sqrt(c2^2 - 4 c0)) / 2)."""
     if c2 <= 0 or c0 < 0:
         raise GraphError(f"need c2 > 0 and c0 >= 0, got ({c2}, {c0})")
@@ -477,7 +474,7 @@ def _certified_root(c2: int, c0: int) -> tuple[float, float]:
     which rho is not above it.  Both ends are decided by exact integer sign
     checks (_root_sign).
     """
-    value = largest_biquadratic_root(c2, c0)
+    value = _largest_biquadratic_root(c2, c0)
     while _root_sign(c2, c0, value) < 0:
         value = math.nextafter(value, 0.0)
     upper, step = value, 0.0
@@ -500,7 +497,7 @@ def quotient_spectral_radius(params: ExtremalParams) -> SpectralReport:
 
 def extremal_spectral_radius(n: int, k: int) -> float:
     """Closed-form rho of the extremal graph."""
-    return largest_biquadratic_root(*biquadratic_coeffs(n, k, k))
+    return _largest_biquadratic_root(*biquadratic_coeffs(n, k, k))
 
 
 def bracket_contains(report: SpectralReport, rho: float, n: int) -> bool:
@@ -532,7 +529,7 @@ class SpectralMargin:
     sign_ok: bool
 
 
-def join_margin(params: ExtremalParams, tol: float | None = None) -> SpectralMargin:
+def join_margin(params: ExtremalParams) -> SpectralMargin:
     """Strict-inequality check rho(join) < rho(extremal), by the closed
     form checked against spectral_radius on each graph, plus the sign of
     the polynomial difference at sqrt(n(n-1)).
@@ -553,13 +550,13 @@ def join_margin(params: ExtremalParams, tol: float | None = None) -> SpectralMar
         raise GraphError(f"margin check needs p >= k+1, got p = {p}")
     c2_b, c0_b = biquadratic_coeffs(n, k, k)
     c2_j, c0_j = biquadratic_coeffs(n, k, p)
-    rho_b = largest_biquadratic_root(c2_b, c0_b)
-    rho_j = largest_biquadratic_root(c2_j, c0_j)
+    rho_b = _largest_biquadratic_root(c2_b, c0_b)
+    rho_j = _largest_biquadratic_root(c2_j, c0_j)
     for closed, graph, which in (
         (rho_b, build_extremal(n, k), "extremal"),
         (rho_j, build_join(params), "join"),
     ):
-        report = spectral_radius(graph, tol=tol)
+        report = spectral_radius(graph)
         if not bracket_contains(report, closed, n):
             raise InconsistencyError(
                 f"{which} rho: closed form {closed!r} lies outside the power-iteration "

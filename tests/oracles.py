@@ -6,7 +6,8 @@ equitable quotient matrix of the join graphs with its characteristic
 polynomial, against which the library's integer coefficients are checked,
 the complete-block, quasi-complement and bowtie-join builders that
 compose the extremal and join graphs the library writes row by row, the
-extremal signature by degrees and comparison with a built copy, and the
+extremal signature by degrees and comparison with a built copy,
+isomorphism to the extremal graph by canonical relabeling, and the
 deletion of one vertex's edges."""
 
 from collections import Counter, deque
@@ -16,7 +17,14 @@ from typing import Iterable
 
 import numpy as np
 
-from rfl.graphs import BipartiteGraph, Edge, ExtremalParams, GraphError, labeled_extremal_copy
+from rfl.graphs import (
+    BipartiteGraph,
+    Edge,
+    ExtremalParams,
+    GraphError,
+    build_extremal,
+    labeled_extremal_copy,
+)
 from rfl.spectral import biquadratic_coeffs
 
 
@@ -275,3 +283,34 @@ def induced_delete_vertex(g: BipartiteGraph, v: int) -> BipartiteGraph:
     bit = ~(1 << (v - n - 1))
     return BipartiteGraph(n, tuple(row & bit for row in g.x_rows))
 
+
+def is_extremal_isomorphic(g: BipartiteGraph, n: int, k: int) -> bool:
+    """Oracle: whether g is isomorphic to build_extremal(n, k).  No longer
+    part of the library, which recognizes labeled copies by
+    extremal_signature.
+
+    Decided by canonical relabeling: the unique degree-(k-1) vertex goes to
+    2n (after an X/Y swap if needed), its neighbors to {1..k-1}, remaining
+    vertices in index order; then compare edge-for-edge.
+    """
+    if g.n != n:
+        return False
+    deficient = [v for v in range(1, 2 * n + 1) if g.degree(v) == k - 1]
+    if len(deficient) != 1:
+        return False
+    u = deficient[0]
+    if u <= n:
+        g = g.transposed()
+        u = u + n
+    nbrs = sorted(g.neighbors(u))  # subset of X
+    perm: dict[int, int] = {u: 2 * n}
+    for target, v in enumerate(nbrs, start=1):
+        perm[v] = target
+    nbr_set = set(nbrs)
+    rest_x = [v for v in range(1, n + 1) if v not in nbr_set]
+    for target, v in enumerate(rest_x, start=k):
+        perm[v] = target
+    rest_y = [v for v in range(n + 1, 2 * n + 1) if v != u]
+    for target, v in enumerate(rest_y, start=n + 1):
+        perm[v] = target
+    return g.relabeled(perm) == build_extremal(n, k)

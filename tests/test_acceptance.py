@@ -14,10 +14,10 @@ import time
 from rfl.factors import (
     DEFAULT_BUDGET,
     FOUND,
-    diagonal_matching_schedule,
-    k_factor_exists,
+    _diagonal_matching_schedule,
     rainbow_perfect_matching_search,
 )
+from rfl.flow import k_factor_exists
 from rfl.graphs import BipartiteGraph
 from rfl.harness import ExperimentConfig, make_rng, run_campaign
 from tests.conftest import random_graph
@@ -122,7 +122,7 @@ def test_criterion_6_matching_schedules():
     ok = True
     for n in range(2, 13):
         for k in range(1, n // 2 + 1):
-            schedule = diagonal_matching_schedule(n, k)
+            schedule = _diagonal_matching_schedule(n, k)
             try:
                 schedule.validate()
             except Exception:

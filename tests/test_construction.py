@@ -4,7 +4,7 @@ from itertools import combinations_with_replacement
 import pytest
 
 from rfl import factors
-from rfl.construction import _match_blocks, construct_rainbow_factor_extremal, repair_multiedges
+from rfl.construction import _match_blocks, _repair_multiedges, construct_rainbow_factor_extremal
 from rfl.factors import FOUND, rainbow_k_factor_search
 from rfl.graphs import BipartiteGraph, GraphError, GraphFamily, build_extremal
 from rfl.harness import (
@@ -221,7 +221,7 @@ class TestRepair:
             1: (1, 8), 2: (2, 7), 3: (3, 6), 4: (4, 5),
             5: (2, 6), 6: (1, 5), 7: (3, 8), 8: (4, 7),
         }
-        assert repair_multiedges(assignment, family) == assignment
+        assert _repair_multiedges(assignment, family) == assignment
 
     def test_hand_built_duplicate(self):
         family = self.two_group_family()
@@ -230,7 +230,7 @@ class TestRepair:
             5: (2, 7), 6: (1, 5), 7: (3, 8), 8: (4, 6),
         }
         before = union_degrees(assignment)
-        repaired = repair_multiedges(assignment, family)
+        repaired = _repair_multiedges(assignment, family)
         edges = list(repaired.values())
         assert len(set(edges)) == len(edges)
         assert union_degrees(repaired) == before
@@ -241,7 +241,7 @@ class TestRepair:
         family = self.two_group_family()
         assignment = {1: (1, 8), 2: (1, 7), 3: (2, 6), 4: (4, 5)}
         with pytest.raises(GraphError):
-            repair_multiedges(assignment, family)
+            _repair_multiedges(assignment, family)
 
     def test_rejects_foreign_edge(self):
         family = self.two_group_family()
@@ -251,7 +251,7 @@ class TestRepair:
             5: (2, 5), 6: (1, 7), 7: (4, 8), 8: (3, 6),
         }
         with pytest.raises(GraphError):
-            repair_multiedges(assignment, family)
+            _repair_multiedges(assignment, family)
 
     def test_degree_vector_preserved_on_randomized_runs(self):
         # colliding perfect matchings from random two-group families
@@ -282,7 +282,7 @@ class TestRepair:
             for slot, e in assignment.items():
                 assert family[slot - 1].has_edge(*e)
             before = union_degrees(assignment)
-            repaired = repair_multiedges(assignment, family)
+            repaired = _repair_multiedges(assignment, family)
             assert union_degrees(repaired) == before
             edges = list(repaired.values())
             assert len(set(edges)) == len(edges)

@@ -9,14 +9,13 @@ from rfl.factors import (
     ABSENT,
     BUDGET_EXHAUSTED,
     FOUND,
-    MatchingSchedule,
     RainbowFactor,
     audit_shifted_family,
-    diagonal_matching_schedule,
-    k_factor_exists,
     rainbow_k_factor_search,
     rainbow_perfect_matching_search,
+    _diagonal_matching_schedule,
     _image,
+    _MatchingSchedule,
     _Symmetry,
 )
 from rfl.graphs import (
@@ -29,7 +28,7 @@ from rfl.graphs import (
     _bits,
     labeled_extremal_copy,
 )
-from rfl.flow import _augment, degree_constrained_subgraph
+from rfl.flow import _augment, degree_constrained_subgraph, k_factor_exists
 from rfl.spectral import extremal_spectral_radius
 from tests.conftest import random_graph
 from tests.oracles import (
@@ -550,26 +549,26 @@ class TestRainbowPerfectMatching:
 
 class TestDiagonalMatchings:
     def test_4_2_frozen(self):
-        sched = diagonal_matching_schedule(4, 2)
+        sched = _diagonal_matching_schedule(4, 2)
         assert sched.matchings[0] == ((1, 8), (2, 7), (3, 6), (4, 5))
         assert sched.matchings[1] == ((1, 5), (2, 8), (3, 7), (4, 6))
 
     def test_single_matching_is_antidiagonal(self):
         for n in (2, 5, 9):
-            sched = diagonal_matching_schedule(n, 1)
+            sched = _diagonal_matching_schedule(n, 1)
             assert sched.matchings[0] == tuple((j, 2 * n + 1 - j) for j in range(1, n + 1))
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_invariants_up_to_n_12(self, n):
         for k in range(1, n // 2 + 1):
-            sched = diagonal_matching_schedule(n, k)
+            sched = _diagonal_matching_schedule(n, k)
             sched.validate()
             union = {e for m in sched.matchings for e in m}
             assert len(union) == k * n
 
     def test_union_is_k_factor_of_complete_graph(self):
         for n, k in [(6, 3), (8, 4), (12, 6)]:
-            sched = diagonal_matching_schedule(n, k)
+            sched = _diagonal_matching_schedule(n, k)
             complete = BipartiteGraph.complete(n)
             degree = {v: 0 for v in range(1, 2 * n + 1)}
             for m in sched.matchings:
@@ -582,16 +581,16 @@ class TestDiagonalMatchings:
     def test_corner_edges_present(self):
         # matching k holds both corner edges {k, 2n} and {n, n+k}
         for n, k in [(4, 2), (8, 3), (12, 5)]:
-            m = diagonal_matching_schedule(n, k).matchings[k - 1]
+            m = _diagonal_matching_schedule(n, k).matchings[k - 1]
             assert (k, 2 * n) in m
             assert (n, n + k) in m
 
     def test_rejects_k_above_n(self):
         with pytest.raises(GraphError):
-            diagonal_matching_schedule(3, 4)
+            _diagonal_matching_schedule(3, 4)
 
     def test_schedule_validation_catches_overlap(self):
-        bad = MatchingSchedule(
+        bad = _MatchingSchedule(
             2, 2, (((1, 3), (2, 4)), ((1, 3), (2, 4)))
         )
         with pytest.raises(GraphError):

@@ -1,14 +1,16 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+import rfl
 from rfl import fileio
 from rfl.graphs import (
     BipartiteGraph,
     GraphError,
     GraphFamily,
     build_extremal,
-    is_extremal_isomorphic,
 )
 from rfl.harness import (
     CAMPAIGNS,
@@ -19,6 +21,7 @@ from rfl.harness import (
     random_deficiency_spec,
     run_campaign,
 )
+from tests.oracles import is_extremal_isomorphic
 
 
 class TestRandomBipartite:
@@ -162,8 +165,8 @@ class TestCampaigns:
         assert report.failed == 0
         assert all(c["values"]["residual"] < 1e-10 for c in report.cases)
 
-        def shifted(g, tol=None):
-            r = real(g, tol=tol)
+        def shifted(g):
+            r = real(g)
             return SpectralReport(r.value + 1e-9, r.method, r.iterations, r.residual)
 
         monkeypatch.setattr(rfl.harness, "spectral_radius", shifted)
@@ -372,10 +375,10 @@ class TestCLI:
 
         real = rfl.harness.join_margin
 
-        def fail_at_5_2_4(params, tol=None):
+        def fail_at_5_2_4(params):
             if (params.n, params.k, params.p) == (5, 2, 4):
                 raise InconsistencyError("the computation gave up")
-            return real(params, tol=tol)
+            return real(params)
 
         monkeypatch.setattr(rfl.harness, "join_margin", fail_at_5_2_4)
         assert self.run("verify-lemma33", "--kmax", "2", "--nmax", "5") == 1
@@ -418,22 +421,21 @@ class TestCLI:
         assert self.run("rho", "--in", "/nonexistent/g.txt") == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_default_tol_env_override(self, monkeypatch):
-        from rfl.cli import default_tolerance
-
-        monkeypatch.setenv("RFL_DEFAULT_TOL", "1e-6")
-        assert default_tolerance() == 1e-6
-        monkeypatch.delenv("RFL_DEFAULT_TOL")
-        assert default_tolerance() == 1e-10
-
-    def test_malformed_default_tol_exits_2(self, tmp_path, monkeypatch, capsys):
-        path = tmp_path / "b.txt"
+    @pytest.mark.parametrize(
+        "argv",
+        [("rho", "--in", "{path}"), ("campaign", "extremal-absence", "--out", "{report}")],
+        ids=["rho", "campaign"],
+    )
+    def test_tolerance_option_is_gone(self, tmp_path, capsys, argv):
+        # the spectral tolerance is rfl.spectral.DEFAULT_TOL; --tol is an
+        # unknown option, an argparse usage error
+        path, report = tmp_path / "b.txt", tmp_path / "r.json"
         assert self.run("build-extremal", "--n", "6", "--k", "2", "--out", str(path)) == 0
-        monkeypatch.setenv("RFL_DEFAULT_TOL", "abc")
-        assert self.run("rho", "--in", str(path)) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "RFL_DEFAULT_TOL" in err
-        assert len(err.strip().splitlines()) == 1
+        with pytest.raises(SystemExit) as exc:
+            self.run(*(arg.format(path=path, report=report) for arg in argv), "--tol", "1e-6")
+        assert exc.value.code == 2
+        assert "--tol" in capsys.readouterr().err
+        assert not report.exists()
 
     @pytest.mark.parametrize(
         "command, name, error",
@@ -455,3 +457,18 @@ class TestCLI:
         monkeypatch.setattr(rfl.cli, name, fail)
         assert self.run(*(arg.format(path=path) for arg in command)) == 2
         assert capsys.readouterr().err == "error: the computation gave up\n"
+
+
+def test_readme_public_api_lists_all():
+    # the README's "Public API" section names each export of rfl once, in
+    # its list items (wrapped lines indented), and nothing else
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Public API\n", 1)[1].split("\n## ", 1)[0]
+    listed = [
+        name
+        for line in section.splitlines()
+        if line.startswith(("- ", "  "))
+        for name in re.findall(r"`(\w+)`", line)
+    ]
+    assert sorted(listed) == sorted(rfl.__all__)
+    assert len(set(listed)) == len(listed)

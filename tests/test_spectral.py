@@ -17,11 +17,11 @@ from rfl.graphs import (
 )
 from rfl.spectral import (
     _DENSE_START_MAX,
-    DEFAULT_TOL,
     ConvergenceError,
     InconsistencyError,
     SpectralReport,
     _certified_root,
+    _largest_biquadratic_root,
     _row_counts,
     _sqrt_diff_sign,
     _twin_classes,
@@ -32,7 +32,6 @@ from rfl.spectral import (
     bracket_contains,
     extremal_spectral_radius,
     join_margin,
-    largest_biquadratic_root,
     quotient_spectral_radius,
     spectral_radius,
 )
@@ -363,14 +362,34 @@ class TestPowerIteration:
 
     def test_stars_of_duplicated_rows_above_the_dense_start_limit(self):
         # Y-vertex 4 is adjacent to 5 X-vertices, Y-vertex 8 to 3, the
-        # others to at most one: every block is a star
+        # others to at most one: every block is a star.  rho = sqrt(5),
+        # bracketed by exact sign checks: the float sqrt(5) lies above it,
+        # so value is one ulp below
         n = 20
         rows = [1 << 3] * 5 + [1 << 7] * 3 + [1 << j for j in range(9, 19)] + [0, 0]
+        value, upper = _certified_root(5, 0)
+        assert value == math.nextafter(math.sqrt(5), 0)
         for order in (rows, rows[::-1]):
             g = BipartiteGraph(n, tuple(order))
             report = spectral_radius(g)
-            assert (report.value, report.iterations, report.residual) == (math.sqrt(5), 0, 0.0)
+            assert (report.value, report.iterations, report.value + report.residual) == (
+                value,
+                0,
+                upper,
+            )
+            assert Fraction(report.value) ** 2 <= 5 <= Fraction(report.value + report.residual) ** 2
             assert_bracket_contains(g, report)
+
+    def test_star_brackets_hold_their_root(self):
+        # one star of degree d, below and above the dense-start limit; the
+        # float sqrt(d) rounds up for d = 2, 5, 7, 8, 10, 15, ...
+        for n in (8, 40):
+            for d in range(1, n + 1):
+                g = BipartiteGraph(n, (1,) * d + (0,) * (n - d))
+                report = spectral_radius(g)
+                assert report.iterations == 0
+                lo, hi = Fraction(report.value), Fraction(report.value + report.residual)
+                assert lo**2 <= d <= hi**2, (n, d)
 
     def test_part_swap_keeps_radius(self, rng):
         # M = B^T B is one-sided; the transposed graph iterates on B B^T
@@ -381,32 +400,22 @@ class TestPowerIteration:
                 spectral_radius(g.transposed()).value, abs=1e-10
             )
 
-    def test_iteration_cap_raises(self):
+    def test_iteration_cap_raises(self, monkeypatch):
         # 20 Y-vertices in one block without twins: above the dense-start
         # limit, both in vertices and in classes
-        g = path_graph(20)
+        import rfl.spectral
+
+        monkeypatch.setattr(rfl.spectral, "DEFAULT_TOL", 1e-16)
+        monkeypatch.setattr(rfl.spectral, "MAX_ITERATIONS", 3)
         with pytest.raises(ConvergenceError):
-            spectral_radius(g, tol=1e-16, max_iterations=3)
+            spectral_radius(path_graph(20))
 
-    def test_zero_iteration_cap_raises_on_dense_started_block(self):
+    def test_zero_iteration_cap_raises_on_dense_started_block(self, monkeypatch):
+        import rfl.spectral
+
+        monkeypatch.setattr(rfl.spectral, "MAX_ITERATIONS", 0)
         with pytest.raises(ConvergenceError):
-            spectral_radius(build_extremal(6, 2), max_iterations=0)
-
-    def test_library_ignores_default_tol_env(self, monkeypatch):
-        # RFL_DEFAULT_TOL belongs to the CLI: the library defaults to
-        # DEFAULT_TOL whatever the environment holds, malformed or not
-        g = path_graph(20)
-        expected = spectral_radius(g, tol=DEFAULT_TOL)
-        params = ExtremalParams(40, 3, 13)
-        margin = join_margin(params)
-        for raw in ("abc", "1e-2"):
-            monkeypatch.setenv("RFL_DEFAULT_TOL", raw)
-            assert spectral_radius(g) == expected
-            assert join_margin(params) == margin
-
-    def test_rejects_bad_tolerance(self):
-        with pytest.raises(GraphError):
-            spectral_radius(BipartiteGraph.empty(2), tol=0.0)
+            spectral_radius(build_extremal(6, 2))
 
     def test_subgraph_monotone_under_edge_addition(self, rng):
         for _ in range(25):
@@ -516,14 +525,17 @@ class TestTwinQuotient:
         # shows its bracket, which must be the Rayleigh and Collatz-Wielandt
         # bounds of B^T B at the full all-ones vector.  Blocks of two
         # classes take no product, so these have three and four
+        import rfl.spectral
+
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda a: (eigh(a)[0], np.eye(len(a))))
+        monkeypatch.setattr(rfl.spectral, "DEFAULT_TOL", 1e9)
         graphs = [three_class(n) for n in (17, 40, 64)]
         graphs.append(self.from_columns(20, [0b111 << (j % 4) for j in range(20)]))
         for g in graphs:
             b = np.array([[row >> j & 1 for j in range(g.n)] for row in g.x_rows], float)
             w = b.T @ (b @ np.ones(g.n))
-            report = spectral_radius(g, tol=1e9)
+            report = spectral_radius(g)
             assert report.iterations == 1
             assert report.value**2 == pytest.approx(w.sum() / g.n, rel=1e-13)
             assert (report.value + report.residual) ** 2 == pytest.approx(w.max(), rel=1e-13)
@@ -759,7 +771,7 @@ class TestQuotientMatrix:
             for p in range(k, n):
                 params = ExtremalParams(n, k, p)
                 c2, c0 = quotient_matrix(params).char_poly_coeffs()
-                closed = largest_biquadratic_root(c2, c0)
+                closed = _largest_biquadratic_root(c2, c0)
                 power = spectral_radius(build_join(params)).value
                 assert closed == pytest.approx(power, abs=1e-7)
 
@@ -768,7 +780,7 @@ class TestQuotientMatrix:
             q = quotient_matrix(ExtremalParams(n, k, p))
             top = max(abs(v) for v in np.linalg.eigvals(q.as_array()))
             c2, c0 = q.char_poly_coeffs()
-            assert largest_biquadratic_root(c2, c0) == pytest.approx(top, abs=1e-9)
+            assert _largest_biquadratic_root(c2, c0) == pytest.approx(top, abs=1e-9)
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_irreducible_for_all_valid_params(self, k):
@@ -790,7 +802,7 @@ class TestQuotientMatrix:
             for n in (*range(2 * k, 13), 100, 1000):
                 for p in sorted({k, k + 1, n // 2, n - 1}):
                     c2, c0 = biquadratic_coeffs(n, k, p)
-                    x = largest_biquadratic_root(c2, c0)
+                    x = _largest_biquadratic_root(c2, c0)
                     below, above = x - 4 * math.ulp(x), x + 4 * math.ulp(x)
                     assert 2 * Fraction(below) ** 2 > c2
                     assert f(c2, c0, below) < 0 < f(c2, c0, above), (n, k, p)
@@ -856,23 +868,23 @@ class TestCharPolys:
 
 class TestBiquadraticRoot:
     def test_extremal_4_2_coefficients(self):
-        assert largest_biquadratic_root(13, 9) == pytest.approx(RHO_B_4_2, abs=1e-12)
+        assert _largest_biquadratic_root(13, 9) == pytest.approx(RHO_B_4_2, abs=1e-12)
 
     def test_unit(self):
-        assert largest_biquadratic_root(1, 0) == pytest.approx(1.0, abs=1e-12)
+        assert _largest_biquadratic_root(1, 0) == pytest.approx(1.0, abs=1e-12)
 
     def test_8_8(self):
-        assert largest_biquadratic_root(8, 8) == pytest.approx(2.613125929752753, abs=1e-12)
+        assert _largest_biquadratic_root(8, 8) == pytest.approx(2.613125929752753, abs=1e-12)
 
     def test_rejects_negative_discriminant(self):
         with pytest.raises(GraphError):
-            largest_biquadratic_root(2, 9)
+            _largest_biquadratic_root(2, 9)
 
     def test_rejects_bad_signs(self):
         with pytest.raises(GraphError):
-            largest_biquadratic_root(-1, 0)
+            _largest_biquadratic_root(-1, 0)
         with pytest.raises(GraphError):
-            largest_biquadratic_root(1, -1)
+            _largest_biquadratic_root(1, -1)
 
 
 class TestJoinMargin:
@@ -919,8 +931,8 @@ class TestJoinMargin:
 
         real = rfl.spectral.spectral_radius
 
-        def shifted(g, tol=None):
-            r = real(g, tol=tol)
+        def shifted(g):
+            r = real(g)
             return SpectralReport(r.value - 1e-9, r.method, r.iterations, r.residual)
 
         monkeypatch.setattr(rfl.spectral, "spectral_radius", shifted)
