@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator
 
+import numpy as np
+
 Edge = tuple[int, int]
 
 
@@ -57,16 +59,17 @@ class BipartiteGraph:
 
     @cached_property
     def y_cols(self) -> tuple[int, ...]:
-        """Mirrored view: bit i of column j set <=> edge {i+1, n+j+1}."""
-        cols = [0] * self.n
-        for i, row in enumerate(self.x_rows):
-            bit = 1 << i
-            r = row
-            while r:
-                j = (r & -r).bit_length() - 1
-                cols[j] |= bit
-                r &= r - 1
-        return tuple(cols)
+        """Mirrored view: bit i of column j set <=> edge {i+1, n+j+1}.
+
+        The rows go to a 0/1 byte matrix (unpackbits), which is transposed
+        and packed back: time linear in its n^2 entries at every width."""
+        n = self.n
+        width = (n + 7) // 8
+        raw = b"".join(row.to_bytes(width, "little") for row in self.x_rows)
+        packed = np.frombuffer(raw, np.uint8).reshape(n, width)
+        bits = np.unpackbits(packed, axis=1, bitorder="little")[:, :n]
+        cols = np.packbits(bits.T, axis=1, bitorder="little")
+        return tuple(int.from_bytes(col.tobytes(), "little") for col in cols)
 
     def has_edge(self, x: int, y: int) -> bool:
         if not (1 <= x <= self.n < y <= 2 * self.n):

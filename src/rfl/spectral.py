@@ -147,7 +147,9 @@ def spectral_radius(g: BipartiteGraph) -> SpectralReport:
     Reports value = the largest certified lower end over the blocks (a
     power-iteration end overshoots rho only by float64 rounding; see
     bracket_contains), residual = the distance from it to the largest
-    upper end, and iterations = the products v -> w over all blocks.
+    upper end, iterations = the products v -> w over all blocks, and method
+    "quotient-closed-form" when no block took a product, else
+    "power-iteration".
     Raises ConvergenceError once MAX_ITERATIONS products have not closed
     every bracket.
     """
@@ -223,8 +225,9 @@ def spectral_radius(g: BipartiteGraph) -> SpectralReport:
                 f"(last bracket width {gap:.3e})"
             )
         lo, hi = max(lo, root_lo), max(hi, root_hi)
+    method = "power-iteration" if iterations else "quotient-closed-form"
     return SpectralReport(
-        value=lo, method="power-iteration", iterations=iterations, residual=max(hi - lo, 0.0)
+        value=lo, method=method, iterations=iterations, residual=max(hi - lo, 0.0)
     )
 
 

@@ -3,8 +3,8 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from rfl import factors
-from rfl.construction import _match_blocks, _repair_multiedges, construct_rainbow_factor_extremal
+from rfl import construction, factors, flow
+from rfl.construction import construct_rainbow_factor_extremal
 from rfl.factors import FOUND, rainbow_k_factor_search
 from rfl.graphs import BipartiteGraph, GraphError, GraphFamily, build_extremal
 from rfl.harness import (
@@ -12,14 +12,6 @@ from rfl.harness import (
     make_rng,
     random_deficiency_spec,
 )
-
-
-def union_degrees(assignment):
-    deg = Counter()
-    for x, y in assignment.values():
-        deg[x] += 1
-        deg[y] += 1
-    return deg
 
 
 class TestSingleDeficientVertex:
@@ -143,32 +135,6 @@ class TestLeftoverBlocks:
             family = generate_extremal_variant_family(n, k, random_family_spec(n, k, rng))
             construct_rainbow_factor_extremal(family).validate(family)
 
-    def test_block_matchings_are_edge_disjoint(self):
-        # up to k blocks of n slots, no deficient vertex n times or more;
-        # every slot's edge avoids its deficient vertex, each block is a
-        # perfect matching, and no edge serves two blocks
-        rng = make_rng(5151)
-        for _ in range(400):
-            k = int(rng.integers(2, 5))
-            n = int(rng.integers(2 * k, 11))
-            slots = int(rng.integers(1, k + 1)) * n
-            size = int(rng.integers(-(-slots // (n - 1)), 2 * n + 1))
-            vertices = rng.choice(range(1, 2 * n + 1), size=size, replace=False)
-            # each vertex n - 1 times in the pool, so fewer than n times in the blocks
-            pool = [int(u) for u in vertices for _ in range(n - 1)]
-            deficient = [pool[i] for i in rng.permutation(len(pool))[:slots]]
-            signatures = [(u, ()) for u in deficient]
-            blocks = [list(range(i + 1, i + n + 1)) for i in range(0, slots, n)]
-            out = _match_blocks(n, signatures, blocks)
-            assert sorted(out) == list(range(1, slots + 1))
-            for slot, edge in out.items():
-                assert deficient[slot - 1] not in edge
-            for block in blocks:
-                edges = [out[s] for s in block]
-                assert sorted(x for x, _ in edges) == list(range(1, n + 1))
-                assert sorted(y for _, y in edges) == list(range(n + 1, 2 * n + 1))
-            assert len(set(out.values())) == slots
-
     def test_construction_never_searches(self, monkeypatch):
         calls = []
 
@@ -181,12 +147,97 @@ class TestLeftoverBlocks:
 
         for name in ("rainbow_perfect_matching_search", "rainbow_k_factor_search", "_search"):
             monkeypatch.setattr(factors, name, spy(name))
+        # every flow call, direct or through rfl.flow's public functions
+        flow_calls = []
+        exact_degree = flow._exact_degree
+
+        def count(*args):
+            flow_calls.append(1)
+            return exact_degree(*args)
+
+        monkeypatch.setattr(flow, "_exact_degree", count)
+        monkeypatch.setattr(construction, "_exact_degree", count)
         rng = make_rng(6161)
+        most = 0
         for n, k in [(4, 2), (5, 2), (6, 3), (8, 4), (9, 3)]:
-            for _ in range(10):
-                family = generate_extremal_variant_family(n, k, random_family_spec(n, k, rng))
+            specs = [random_family_spec(n, k, rng) for _ in range(10)]
+            specs += [spec for _kind, spec in heavy_specs(n, k)]
+            for spec in specs:
+                family = generate_extremal_variant_family(n, k, spec)
+                flow_calls.clear()
                 construct_rainbow_factor_extremal(family).validate(family)
+                assert 1 <= len(flow_calls) <= 2
+                most = max(most, len(flow_calls))
         assert calls == []
+        assert most == 2  # the heavy families take the representatives' call
+
+
+def other_part(n, v):
+    return list(range(n + 1, 2 * n + 1) if v <= n else range(1, n + 1))
+
+
+def heavy_specs(n, k):
+    """(kind, spec) for families with more than kn - k members at one vertex
+    u, in X and in Y, and o = 0..k-1 members elsewhere.  The members at u are
+    identical but for the last one, or (o >= 1) all identical.  The odd list
+    skips the vertex after the common one, the first spare candidate.  The o
+    outsiders sit at one vertex of the other part, at o distinct ones, or in
+    u's own part; the first of them is that spare candidate, and no outsider
+    lists u."""
+    for u in (1, 2 * n):
+        part = other_part(n, u)
+        listed, odd = tuple(part[: k - 1]), tuple(part[: k - 2] + [part[k]])
+        own = [v for v in (range(1, n + 1) if u <= n else range(n + 1, 2 * n + 1)) if v != u]
+        for o in range(k):
+            places = {"one": [part[k - 1]] * o, "spread": part[k - 1 : k - 1 + o], "own": own[:o]}
+            for where, vertices in places.items():
+                outsiders = [
+                    (v, tuple([w for w in other_part(n, v) if w != u][: k - 1])) for v in vertices
+                ]
+                group = [(u, listed)] * (k * n - o)
+                yield f"u={u} o={o} {where} one-differs", group[:-1] + [(u, odd)] + outsiders
+                if o:
+                    yield f"u={u} o={o} {where} identical", group + outsiders
+
+
+def two_vertex_specs(n, k):
+    """(kind, spec) for families with exactly two deficient vertices a and b,
+    split in several ways.  In opposite parts no member allows the edge ab;
+    in the same part no edge joins them.  The members at each vertex are
+    identical or rotate through lists that avoid the other vertex."""
+    total = k * n
+    for a, b in ((1, 2 * n), (n, n + 1), (1, n), (n + 1, 2 * n)):
+        for size in sorted({1, k, total // 2, total - k, total - k + 1, total - 1}):
+            for rotate in (False, True):
+                spec = []
+                for u, count in ((a, size), (b, total - size)):
+                    pool = [w for w in other_part(n, u) if w != b and w != a]
+                    for j in range(count):
+                        start = j % (len(pool) - k + 2) if rotate else 0
+                        spec.append((u, tuple(pool[start : start + k - 1])))
+                yield f"a={a} b={b} |a|={size} rotate={rotate}", spec
+
+
+BOUNDARY_SHAPES = [(n, k) for k in range(2, 7) for n in range(2 * k, 13)]
+
+
+class TestHallBoundaries:
+    @pytest.mark.parametrize("n, k", BOUNDARY_SHAPES)
+    def test_heavy_vertex_families(self, n, k):
+        built = 0
+        for kind, spec in heavy_specs(n, k):
+            family = generate_extremal_variant_family(n, k, spec)
+            factor = construct_rainbow_factor_extremal(family)
+            factor.validate(family)
+            built += 1
+        assert built == 2 * (3 * k + 3 * (k - 1))
+
+    @pytest.mark.parametrize("n, k", BOUNDARY_SHAPES)
+    def test_two_vertex_families(self, n, k):
+        for kind, spec in two_vertex_specs(n, k):
+            assert len(Counter(u for u, _ in spec)) == 2, kind
+            family = generate_extremal_variant_family(n, k, spec)
+            construct_rainbow_factor_extremal(family).validate(family)
 
 
 class TestPreconditions:
@@ -206,84 +257,3 @@ class TestPreconditions:
         family = generate_extremal_variant_family(3, 2, spec)
         with pytest.raises(GraphError):
             construct_rainbow_factor_extremal(family)
-
-
-class TestRepair:
-    @staticmethod
-    def two_group_family():
-        spec = [(8, (1,))] * 4 + [(7, (2,))] * 4
-        return generate_extremal_variant_family(4, 2, spec)
-
-    def test_no_duplicates_is_identity(self):
-        spec = [(8, (1,))] * 4 + [(6, (2,))] * 4
-        family = generate_extremal_variant_family(4, 2, spec)
-        assignment = {
-            1: (1, 8), 2: (2, 7), 3: (3, 6), 4: (4, 5),
-            5: (2, 6), 6: (1, 5), 7: (3, 8), 8: (4, 7),
-        }
-        assert _repair_multiedges(assignment, family) == assignment
-
-    def test_hand_built_duplicate(self):
-        family = self.two_group_family()
-        assignment = {
-            1: (1, 8), 2: (2, 7), 3: (3, 6), 4: (4, 5),
-            5: (2, 7), 6: (1, 5), 7: (3, 8), 8: (4, 6),
-        }
-        before = union_degrees(assignment)
-        repaired = _repair_multiedges(assignment, family)
-        edges = list(repaired.values())
-        assert len(set(edges)) == len(edges)
-        assert union_degrees(repaired) == before
-        for slot, e in repaired.items():
-            assert family[slot - 1].has_edge(*e)
-
-    def test_rejects_irregular_union(self):
-        family = self.two_group_family()
-        assignment = {1: (1, 8), 2: (1, 7), 3: (2, 6), 4: (4, 5)}
-        with pytest.raises(GraphError):
-            _repair_multiedges(assignment, family)
-
-    def test_rejects_foreign_edge(self):
-        family = self.two_group_family()
-        # (3, 8) is missing from the first group's members
-        assignment = {
-            1: (3, 8), 2: (2, 7), 3: (1, 6), 4: (4, 5),
-            5: (2, 5), 6: (1, 7), 7: (4, 8), 8: (3, 6),
-        }
-        with pytest.raises(GraphError):
-            _repair_multiedges(assignment, family)
-
-    def test_degree_vector_preserved_on_randomized_runs(self):
-        # colliding perfect matchings from random two-group families
-        rng = make_rng(24601)
-
-        def group_matching(n, u, nbr):
-            # a perfect matching valid for the group: its deficient vertex u
-            # (in Y) pairs with its designated neighbor, everything else is a
-            # random matching of the remaining vertices
-            xs = [x for x in range(1, n + 1) if x != nbr]
-            ys = [y for y in range(n + 1, 2 * n + 1) if y != u]
-            order = rng.permutation(len(xs))
-            matching = [(nbr, u)] + [(xs[i], ys[int(order[i])]) for i in range(len(xs))]
-            return matching
-
-        for _ in range(500):
-            n = int(rng.choice([4, 5]))
-            ys = list(range(n + 1, 2 * n + 1))
-            u1, u2 = (int(v) for v in rng.choice(ys, size=2, replace=False))
-            s1 = int(rng.integers(1, n + 1))
-            s2 = int(rng.integers(1, n + 1))
-            spec = [(u1, (s1,))] * n + [(u2, (s2,))] * n
-            family = generate_extremal_variant_family(n, 2, spec)
-            m1 = group_matching(n, u1, s1)
-            m2 = group_matching(n, u2, s2)
-            assignment = {i + 1: e for i, e in enumerate(m1)}
-            assignment.update({n + i + 1: e for i, e in enumerate(m2)})
-            for slot, e in assignment.items():
-                assert family[slot - 1].has_edge(*e)
-            before = union_degrees(assignment)
-            repaired = _repair_multiedges(assignment, family)
-            assert union_degrees(repaired) == before
-            edges = list(repaired.values())
-            assert len(set(edges)) == len(edges)
-

@@ -12,6 +12,7 @@ from rfl.graphs import (
     extremal_signature,
     labeled_extremal_copy,
 )
+from tests.conftest import random_graph
 from tests.oracles import (
     bowtie_join,
     build_complete_bipartite,
@@ -74,6 +75,16 @@ class TestBipartiteGraph:
         for x in range(1, 4):
             for y in range(4, 7):
                 assert g.has_edge(x, y) == (x in g.neighbors(y))
+
+    def test_mirrored_view_matches_edges_at_every_width(self, rng):
+        # rows of one byte, of several, and on both sides of a byte boundary
+        for n in (*range(1, 18), 63, 64, 65, 130):
+            for prob in (0.0, 0.3, 0.9, 1.0):
+                g = random_graph(rng, n, prob)
+                cols = [0] * n
+                for x, y in g.edges():
+                    cols[y - n - 1] |= 1 << (x - 1)
+                assert g.y_cols == tuple(cols)
 
     def test_degree_sums_match_edge_count(self):
         g = BipartiteGraph.from_edges(4, [(1, 5), (2, 6), (2, 7), (4, 8)])

@@ -128,6 +128,14 @@ class TestPowerIteration:
         assert report.method == "power-iteration"
         assert report.residual < 1e-10
 
+    def test_closed_form_blocks_report_their_method(self):
+        # n > _DENSE_START_MAX: one block of two Y-classes, closed without a product
+        report = spectral_radius(build_extremal(20, 3))
+        assert report.iterations == 0
+        assert report.method == "quotient-closed-form"
+        closed = quotient_spectral_radius(ExtremalParams(20, 3))
+        assert (report.value, report.residual) == (closed.value, closed.residual)
+
     def test_empty_graph(self):
         assert spectral_radius(BipartiteGraph.empty(3)).value == pytest.approx(0.0, abs=1e-9)
 
