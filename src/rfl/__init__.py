@@ -38,7 +38,6 @@ from .spectral import (
     SpectralReport,
     biquadratic_coeffs,
     bracket_contains,
-    extremal_spectral_radius,
     join_margin,
     spectral_radius,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "build_extremal",
     "build_join",
     "construct_rainbow_factor_extremal",
-    "extremal_spectral_radius",
     "generate_extremal_variant_family",
     "generate_random_bipartite",
     "is_bi_shifted",

@@ -22,7 +22,9 @@ from .shifting import shift_family
 from .spectral import (
     ConvergenceError,
     InconsistencyError,
-    quotient_spectral_radius,
+    SpectralReport,
+    _certified_root,
+    _class_quotient_coeffs,
     spectral_radius,
 )
 
@@ -54,8 +56,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rho", help="spectral radius of a graph file")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--method", choices=["power", "quotient"], default="power")
-    p.add_argument("--k", type=int, default=None, help="required for --method quotient")
-    p.add_argument("--p", type=int, default=None)
     p.set_defaults(handler=_cmd_rho)
 
     p = sub.add_parser("shift", help="bi-shift every member of a family")
@@ -84,16 +84,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="CSV path; stdout when omitted")
     p.set_defaults(handler=_cmd_margin_grid)
 
+    defaults = ExperimentConfig()
     p = sub.add_parser("campaign", help="run a verification campaign")
     p.add_argument("name", choices=list(CAMPAIGNS))
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--n-min", type=int, default=4)
-    p.add_argument("--n-max", type=int, default=8)
-    p.add_argument("--k-min", type=int, default=2)
-    p.add_argument("--k-max", type=int, default=4)
-    p.add_argument("--budget", type=int, default=2_000_000)
+    p.add_argument("--seed", type=int, default=defaults.seed)
+    p.add_argument("--out", default=defaults.output_path)
+    p.add_argument("--trials", type=int, default=defaults.trials)
+    p.add_argument("--n-min", type=int, default=defaults.n_range[0])
+    p.add_argument("--n-max", type=int, default=defaults.n_range[1])
+    p.add_argument("--k-min", type=int, default=defaults.k_range[0])
+    p.add_argument("--k-max", type=int, default=defaults.k_range[1])
+    p.add_argument("--budget", type=int, default=defaults.search_budget)
     p.set_defaults(handler=_cmd_campaign)
 
     return parser
@@ -113,16 +114,14 @@ def _cmd_rho(args) -> int:
     if args.method == "power":
         report = spectral_radius(g)
     else:
-        if args.k is None:
-            raise GraphError("--method quotient requires --k")
-        params = ExtremalParams(g.n, args.k, args.p if args.p is not None else args.k)
-        if build_join(params) != g:
+        coeffs = _class_quotient_coeffs(g)
+        if coeffs is None:
             raise GraphError(
-                f"graph does not match the canonical construction for (n,k,p) = "
-                f"({params.n},{params.k},{params.p}); the quotient method only "
-                "applies to those graphs"
+                "the quotient method applies only to graphs whose Y-vertices form one "
+                "block of at most two twin classes, such as the extremal and join graphs"
             )
-        report = quotient_spectral_radius(params)
+        value, upper = _certified_root(*coeffs)
+        report = SpectralReport(value, "quotient-closed-form", 0, upper - value)
     print(json.dumps(dataclasses.asdict(report), sort_keys=True))
     return 0
 

@@ -612,7 +612,8 @@ def audit_shifted_family(family: GraphFamily, rho_threshold: float) -> FamilyAud
     - the interior boundary edges {j, 2n+k-j}, k+1 <= j <= n-1, are present;
     - minimum degree at least k-1;
     - every anti-diagonal schedule edge other than the two corner edges is
-      present.
+      present (the interior edges are schedule edges too: missing lists
+      each absent edge once).
 
     Members within 1e-9 of the threshold count as meeting it: the reported
     radius is the lower end of a certified bracket and never overshoots the
@@ -642,7 +643,7 @@ def audit_shifted_family(family: GraphFamily, rho_threshold: float) -> FamilyAud
                 interior_edges_present=not missing_interior,
                 min_degree_ok=g.min_degree() >= k - 1,
                 schedule_edges_present=not missing_schedule,
-                missing=missing_interior + missing_schedule,
+                missing=missing_interior + tuple(e for e in missing_schedule if e not in interior),
             )
         )
     return FamilyAuditReport(n, k, rho_threshold, tuple(audits))

@@ -34,8 +34,8 @@ from .spectral import (
     ConvergenceError,
     InconsistencyError,
     bracket_contains,
-    extremal_spectral_radius,
     join_margin,
+    quotient_spectral_radius,
     spectral_radius,
 )
 
@@ -227,7 +227,7 @@ def _grow(g: BipartiteGraph, prob: float, rng: np.random.Generator) -> Bipartite
 def _campaign_spectral_consistency(config: ExperimentConfig):
     for n, k in _grid(config):
         g = build_extremal(n, k)
-        closed = extremal_spectral_radius(n, k)
+        closed = quotient_spectral_radius(ExtremalParams(n, k)).value
         power = spectral_radius(g)
         values = {
             "rho_closed": closed,
@@ -335,7 +335,7 @@ def _campaign_theorem_sample(config: ExperimentConfig):
     fifth trial the all-identical extremal family as the known exception."""
     rng = make_rng(config.seed)
     for trial, n, k in _grid_trials(config):
-        rho_min = extremal_spectral_radius(n, k)
+        rho_min = quotient_spectral_radius(ExtremalParams(n, k)).value
         identical = trial % 5 == 0
         if identical:
             members = tuple(build_extremal(n, k) for _ in range(k * n))
@@ -365,7 +365,7 @@ def _campaign_claims_audit(config: ExperimentConfig):
     the extremal radius."""
     rng = make_rng(config.seed)
     for trial, n, k in _grid_trials(config):
-        threshold = extremal_spectral_radius(n, k)
+        threshold = quotient_spectral_radius(ExtremalParams(n, k)).value
         canonical = build_extremal(n, k)
         mirrored = labeled_extremal_copy(n, k, n, tuple(range(n + 1, n + k)))
         members = []

@@ -14,27 +14,19 @@ B as B^T (B v) (Golub and Van Loan, Matrix Computations, secs. 8.6 and
 
 On graphs with more than _DENSE_START_MAX X-vertices both sides are
 quotiented by their twins, vertices with equal neighbourhoods, which form
-equitable partitions (Brouwer and Haemers, Spectra of Graphs, sec. 2.3).
-Identical X-rows are counted once and weighted by their multiplicities,
-B^T B = Bd^T diag(m_x) Bd exactly.  Each block's Y-vertices are split into
-twin classes by bitset refinement, given up once there are more than
-_DENSE_START_MAX classes; a block with at most that many has the integer
-class quotient G = Bq^T diag(m_x) Bq, and B^T B maps class-constant
-vectors v to G (m_y * v).  A block of at most two classes is decided in
-closed form: rho^2 is the largest root of the characteristic polynomial
-t^2 - c2 t + c0 of the integer matrix G diag(m_y), bracketed by exact
-integer sign checks, with no product at all.  So the extremal and join
-graphs, with two distinct rows and two Y-classes, get the same certified
-bracket as their 4x4 quotient below.  A block of three or more classes
-iterates on G, with bounds that are those of the full class-constant
-iterate, and only a block with too many classes builds B.  Smaller graphs
-keep their rows as they are.
+equitable partitions (Brouwer and Haemers, Spectra of Graphs, sec. 2.3): a
+block of at most two Y-twin classes is decided in closed form with no
+product, and one of a few classes iterates on its integer class quotient
+(see spectral_radius).  Smaller graphs keep their rows as they are.
 
 Join-type and extremal graphs additionally admit a 4x4 equitable quotient
 matrix whose characteristic polynomial x^4 - c2 x^2 + c0 has integer
 coefficients (biquadratic_coeffs), giving a closed form for rho, bracketed
-by exact integer sign checks, and an exact verdict on
-rho(join) < rho(extremal).
+by exact integer sign checks (_certified_root, the one evaluator of that
+root), and an exact verdict on rho(join) < rho(extremal).  The same
+coefficients are read off any graph of one block of at most two Y-twin
+classes (_class_quotient_coeffs): join_margin checks each built graph by
+their equality, and rfl rho --method quotient brackets a file's radius.
 """
 
 from __future__ import annotations
@@ -357,6 +349,22 @@ def _two_class_coeffs(
     return a * s + b * t, (a * b - d * d) * s * t
 
 
+def _class_quotient_coeffs(g: BipartiteGraph) -> tuple[int, int] | None:
+    """Exact (c2, c0) of g's Y-twin class quotient, whose x^4 - c2 x^2 + c0
+    has rho(g) as its largest root, when g's non-isolated Y-vertices form
+    one block of at most two twin classes; else None.  These are the steps
+    spectral_radius takes on such a block above _DENSE_START_MAX, at any n.
+    """
+    multiplicity = _row_counts(g.x_rows)
+    blocks = _y_components(tuple(multiplicity))
+    if len(blocks) != 1:
+        return None
+    split = _twin_classes(blocks[0], multiplicity)
+    if split is None or len(split[0]) > 2:
+        return None
+    return _two_class_coeffs(*split, multiplicity)
+
+
 # Row i holds the bits of byte value i, least significant first, as float64.
 _BYTE_BITS = np.array([[(byte >> j) & 1 for j in range(8)] for byte in range(256)], np.float64)
 
@@ -441,16 +449,6 @@ def biquadratic_coeffs(n: int, k: int, p: int) -> tuple[int, int]:
     return n * b + (p - 1) * (p - k + 1), b * (p - k + 1) * (n - p + 1) * (p - 1)
 
 
-def _largest_biquadratic_root(c2: float, c0: float) -> float:
-    """Largest real root of x^4 - c2 x^2 + c0: sqrt((c2 + sqrt(c2^2 - 4 c0)) / 2)."""
-    if c2 <= 0 or c0 < 0:
-        raise GraphError(f"need c2 > 0 and c0 >= 0, got ({c2}, {c0})")
-    disc = c2 * c2 - 4.0 * c0
-    if disc < 0:
-        raise GraphError(f"negative discriminant for ({c2}, {c0}); bad coefficients")
-    return math.sqrt((c2 + math.sqrt(disc)) / 2.0)
-
-
 def _root_sign(c2: int, c0: int, y: float) -> int:
     """Exact sign (-1, 0 or 1) of rho - y, where rho is the largest root of
     x^4 - c2 x^2 + c0 (c2 > 0, c2^2 >= 4 c0) and y >= 0.
@@ -472,12 +470,16 @@ def _certified_root(c2: int, c0: int) -> tuple[float, float]:
     """Floats (value, upper) with value <= rho <= upper, for the largest
     root rho of x^4 - c2 x^2 + c0 (integers c2 > 0, c0 >= 0, c2^2 >= 4 c0).
 
-    value is the closed form, stepped down by ulps until it is at most rho;
-    upper is value itself or value + 2^j ulp(value) for the least j at
-    which rho is not above it.  Both ends are decided by exact integer sign
-    checks (_root_sign).
+    value is the float closed form sqrt((c2 + sqrt(c2^2 - 4 c0)) / 2),
+    stepped down by ulps until it is at most rho; upper is value itself or
+    value + 2^j ulp(value) for the least j at which rho is not above it.
+    Both ends are decided by exact integer sign checks (_root_sign).
+    Raises GraphError on coefficients outside that range.
     """
-    value = _largest_biquadratic_root(c2, c0)
+    disc = c2 * c2 - 4 * c0
+    if c2 <= 0 or c0 < 0 or disc < 0:
+        raise GraphError(f"need c2 > 0, c0 >= 0 and c2^2 >= 4 c0, got ({c2}, {c0})")
+    value = math.sqrt((c2 + math.sqrt(disc)) / 2.0)
     while _root_sign(c2, c0, value) < 0:
         value = math.nextafter(value, 0.0)
     upper, step = value, 0.0
@@ -498,11 +500,6 @@ def quotient_spectral_radius(params: ExtremalParams) -> SpectralReport:
     return SpectralReport(value, "quotient-closed-form", 0, upper - value)
 
 
-def extremal_spectral_radius(n: int, k: int) -> float:
-    """Closed-form rho of the extremal graph."""
-    return _largest_biquadratic_root(*biquadratic_coeffs(n, k, k))
-
-
 def bracket_contains(report: SpectralReport, rho: float, n: int) -> bool:
     """Whether rho lies in the certified bracket [value, value + residual]
     of a power-iteration report on a graph of half-order n.
@@ -521,57 +518,56 @@ def bracket_contains(report: SpectralReport, rho: float, n: int) -> bool:
 
 @dataclass(frozen=True)
 class SpectralMargin:
-    """Comparison of a join graph against the extremal graph at the same (n, k)."""
+    """Comparison of a join graph against the extremal graph at the same
+    (n, k), with the radii as the certified lower ends of _certified_root."""
 
     params: ExtremalParams
     rho_extremal: float
     rho_join: float
-    margin: float
+    margin: float  # rho_extremal minus the join's upper end, rounded down: <= the gap
     holds: bool  # rho_join < rho_extremal, decided exactly
     sign_value: int  # (P_extremal - P_join) at x = sqrt(n(n-1)), exact; expected < 0
     sign_ok: bool
 
 
 def join_margin(params: ExtremalParams) -> SpectralMargin:
-    """Strict-inequality check rho(join) < rho(extremal), by the closed
-    form checked against spectral_radius on each graph, plus the sign of
-    the polynomial difference at sqrt(n(n-1)).
+    """Strict-inequality check rho(join) < rho(extremal) from the two
+    biquadratic closed forms, each checked exactly against its built graph,
+    plus the sign of the polynomial difference at sqrt(n(n-1)).
 
     The verdict and the sign are exact integer arithmetic on the
     biquadratic coefficients; rho^2 = (c2 + sqrt(c2^2 - 4 c0)) / 2, so
     rho_J < rho_B exactly when sqrt(d_B) - sqrt(d_J) > c2_J - c2_B.
     Requires p >= k+1 (p = k compares the extremal graph with itself).
-    Raises InconsistencyError if a closed form lies outside the certified
-    bracket spectral_radius reports on its graph (see bracket_contains).
-    That bracket is power iteration's for n <= _DENSE_START_MAX; above it,
-    each graph's one block of two Y-classes is decided in closed form from
-    the trace and determinant of its class quotient, taken from the built
-    graph's rows, so a wrong biquadratic_coeffs still shows.
+    Raises InconsistencyError unless the class quotient of each built graph
+    (_class_quotient_coeffs, read off its rows) has exactly the
+    coefficients biquadratic_coeffs gives, so a wrong formula or a wrong
+    builder shows at every n.
     """
     n, k, p = params.n, params.k, params.p
     if p < k + 1:
         raise GraphError(f"margin check needs p >= k+1, got p = {p}")
-    c2_b, c0_b = biquadratic_coeffs(n, k, k)
-    c2_j, c0_j = biquadratic_coeffs(n, k, p)
-    rho_b = _largest_biquadratic_root(c2_b, c0_b)
-    rho_j = _largest_biquadratic_root(c2_j, c0_j)
-    for closed, graph, which in (
-        (rho_b, build_extremal(n, k), "extremal"),
-        (rho_j, build_join(params), "join"),
+    c2_b, c0_b = coeffs_b = biquadratic_coeffs(n, k, k)
+    c2_j, c0_j = coeffs_j = biquadratic_coeffs(n, k, p)
+    for coeffs, graph, which in (
+        (coeffs_b, build_extremal(n, k), "extremal"),
+        (coeffs_j, build_join(params), "join"),
     ):
-        report = spectral_radius(graph)
-        if not bracket_contains(report, closed, n):
+        found = _class_quotient_coeffs(graph)
+        if found != coeffs:
             raise InconsistencyError(
-                f"{which} rho: closed form {closed!r} lies outside the power-iteration "
-                f"bracket [{report.value!r}, {report.value + report.residual!r}]"
+                f"{which} graph: class quotient coefficients {found} differ from "
+                f"biquadratic_coeffs {coeffs}"
             )
+    lo_b = _certified_root(c2_b, c0_b)[0]
+    lo_j, hi_j = _certified_root(c2_j, c0_j)
     holds = _sqrt_diff_sign(c2_b * c2_b - 4 * c0_b, c2_j * c2_j - 4 * c0_j, c2_j - c2_b) > 0
     sign_value = (c2_j - c2_b) * n * (n - 1) + (c0_b - c0_j)
     return SpectralMargin(
         params=params,
-        rho_extremal=rho_b,
-        rho_join=rho_j,
-        margin=rho_b - rho_j,
+        rho_extremal=lo_b,
+        rho_join=lo_j,
+        margin=math.nextafter(lo_b - hi_j, -math.inf),
         holds=holds,
         sign_value=sign_value,
         sign_ok=sign_value < 0,

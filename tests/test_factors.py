@@ -29,7 +29,7 @@ from rfl.graphs import (
     labeled_extremal_copy,
 )
 from rfl.flow import _augment, degree_constrained_subgraph, k_factor_exists
-from rfl.spectral import extremal_spectral_radius
+from rfl.spectral import quotient_spectral_radius
 from tests.conftest import random_graph
 from tests.oracles import (
     brute_force_automorphisms,
@@ -601,7 +601,7 @@ class TestShiftedFamilyAudit:
     def test_extremal_members_have_no_violations(self):
         g = build_extremal(4, 2)
         family = GraphFamily(4, 2, (g,) * 8)
-        report = audit_shifted_family(family, extremal_spectral_radius(4, 2))
+        report = audit_shifted_family(family, quotient_spectral_radius(ExtremalParams(4, 2)).value)
         assert not report.violations
         assert all(m.meets_threshold for m in report.members)
         # interior boundary edge {3, 7} is what keeps the members compliant
@@ -610,16 +610,30 @@ class TestShiftedFamilyAudit:
     def test_below_threshold_member_excluded(self):
         members = (build_extremal(4, 2),) * 7 + (build_join(ExtremalParams(4, 2, 3)),)
         family = GraphFamily(4, 2, members)
-        report = audit_shifted_family(family, extremal_spectral_radius(4, 2))
+        report = audit_shifted_family(family, quotient_spectral_radius(ExtremalParams(4, 2)).value)
         assert not report.violations
         below = [m.index for m in report.members if not m.meets_threshold]
         assert below == [8]
 
     def test_complete_members_trivially_pass(self):
         family = GraphFamily(4, 2, (BipartiteGraph.complete(4),) * 8)
-        report = audit_shifted_family(family, extremal_spectral_radius(4, 2))
+        report = audit_shifted_family(family, quotient_spectral_radius(ExtremalParams(4, 2)).value)
         assert not report.violations
         assert all(m.meets_threshold for m in report.members)
+
+    def test_missing_interior_edge_listed_once(self):
+        # the interior edge {3, 11} is also a schedule edge of matching k:
+        # it is listed once, and both presence flags still report it.  The
+        # Ferrers graph lies below the extremal radius, so threshold 0
+        # audits it
+        n, k = 6, 2
+        g = BipartiteGraph(n, tuple((1 << r) - 1 for r in (6, 6, 4, 4, 4, 3)))
+        (member, *_rest) = audit_shifted_family(GraphFamily(n, k, (g,) * (k * n)), 0.0).members
+        assert member.meets_threshold and member.min_degree_ok
+        assert member.missing == ((3, 11),)
+        assert member.interior_edges_present is False
+        assert member.schedule_edges_present is False
+        assert member.violated
 
     def test_rejects_non_bi_shifted_member(self):
         g = BipartiteGraph.from_edges(4, [(2, 6)])

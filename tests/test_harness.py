@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -8,19 +9,23 @@ import rfl
 from rfl import fileio
 from rfl.graphs import (
     BipartiteGraph,
+    ExtremalParams,
     GraphError,
     GraphFamily,
     build_extremal,
+    labeled_extremal_copy,
 )
 from rfl.harness import (
     CAMPAIGNS,
     ExperimentConfig,
+    _config_dict,
     generate_extremal_variant_family,
     generate_random_bipartite,
     make_rng,
     random_deficiency_spec,
     run_campaign,
 )
+from rfl.spectral import quotient_spectral_radius
 from tests.oracles import is_extremal_isomorphic
 
 
@@ -274,16 +279,39 @@ class TestCLI:
         assert report["method"] == "power-iteration"
         assert abs(report["value"] - 3.502325127302632) < 1e-7
 
+    @pytest.mark.parametrize("n", [6, 20])
+    def test_rho_quotient_on_labeled_copies(self, tmp_path, capsys, n):
+        # the coefficients come from the file's graph: a labeled extremal
+        # copy, deficient in X or in Y, prints the extremal graph's bracket
+        # bit for bit
+        k = 3
+        closed = dataclasses.asdict(quotient_spectral_radius(ExtremalParams(n, k)))
+        for u, nbrs in [(2, (n + 1, 2 * n)), (2 * n - 1, (1, n))]:
+            path = tmp_path / f"copy{u}.txt"
+            fileio.write_graph(path, labeled_extremal_copy(n, k, u, nbrs))
+            capsys.readouterr()
+            assert self.run("rho", "--in", str(path), "--method", "quotient") == 0
+            assert json.loads(capsys.readouterr().out) == closed, u
+
     def test_rho_quotient_requires_matching_graph(self, tmp_path, capsys):
+        # a staircase has no two-class quotient: exit 2 with a message
+        path = tmp_path / "s.txt"
+        fileio.write_graph(path, BipartiteGraph(5, tuple((1 << i) - 1 for i in range(1, 6))))
+        capsys.readouterr()
+        assert self.run("rho", "--in", str(path), "--method", "quotient") == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "twin classes" in captured.err
+
+    @pytest.mark.parametrize("option", ["--k", "--p"])
+    def test_rho_takes_no_parameters(self, tmp_path, capsys, option):
+        # the graph file alone decides the quotient; --k and --p are unknown
+        # options, an argparse usage error
         path = tmp_path / "b.txt"
-        self.run("build-extremal", "--n", "4", "--k", "2", "--out", str(path))
-        assert self.run("rho", "--in", str(path), "--method", "quotient", "--k", "2") == 0
-        report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-        assert report["method"] == "quotient-closed-form"
-        # wrong k: the canonical construction differs from the file
-        assert (
-            self.run("rho", "--in", str(path), "--method", "quotient", "--k", "3") == 2
-        )
+        assert self.run("build-extremal", "--n", "4", "--k", "2", "--out", str(path)) == 0
+        with pytest.raises(SystemExit) as exc:
+            self.run("rho", "--in", str(path), "--method", "quotient", option, "2")
+        assert exc.value.code == 2
+        assert option in capsys.readouterr().err
 
     def test_join_graph_via_p(self, tmp_path):
         path = tmp_path / "j.txt"
@@ -395,6 +423,12 @@ class TestCLI:
         )
         assert code == 0
         assert json.loads(out.read_text())["summary"]["failed"] == 0
+
+    def test_campaign_defaults_are_the_config_defaults(self, capsys):
+        # the options take their defaults from ExperimentConfig's fields
+        assert self.run("campaign", "spectral-consistency") == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["config"] == _config_dict(ExperimentConfig())
 
     def test_campaign_that_checks_nothing_exits_2(self, tmp_path, capsys):
         out = tmp_path / "r.json"

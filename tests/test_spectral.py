@@ -14,6 +14,7 @@ from rfl.graphs import (
     GraphError,
     build_extremal,
     build_join,
+    labeled_extremal_copy,
 )
 from rfl.spectral import (
     _DENSE_START_MAX,
@@ -21,7 +22,7 @@ from rfl.spectral import (
     InconsistencyError,
     SpectralReport,
     _certified_root,
-    _largest_biquadratic_root,
+    _class_quotient_coeffs,
     _row_counts,
     _sqrt_diff_sign,
     _twin_classes,
@@ -30,7 +31,6 @@ from rfl.spectral import (
     _y_components,
     biquadratic_coeffs,
     bracket_contains,
-    extremal_spectral_radius,
     join_margin,
     quotient_spectral_radius,
     spectral_radius,
@@ -677,6 +677,30 @@ class TestTwinQuotient:
             assert report.value > two_class[1]
 
 
+    def test_class_quotient_coeffs_of_extremal_join_and_labeled_graphs(self):
+        # the paper's graphs at every n, on both sides of _DENSE_START_MAX,
+        # and labeled extremal copies deficient in X and in Y, transposed too
+        for k in (2, 3, 4):
+            for n in (*range(2 * k, 20), 40):
+                for p in range(k, n):
+                    g = build_extremal(n, k) if p == k else build_join(ExtremalParams(n, k, p))
+                    assert _class_quotient_coeffs(g) == biquadratic_coeffs(n, k, p), (n, k, p)
+                extremal = biquadratic_coeffs(n, k, k)
+                for u, nbrs in [(1, range(n + 1, n + k)), (n, range(2 * n - k + 2, 2 * n + 1)),
+                                (n + 2, range(2, k + 1)), (2 * n, range(n - k + 2, n + 1))]:
+                    g = labeled_extremal_copy(n, k, u, nbrs)
+                    assert _class_quotient_coeffs(g) == extremal, (n, k, u)
+                    assert _class_quotient_coeffs(g.transposed()) == extremal, (n, k, u)
+
+    def test_class_quotient_coeffs_of_other_graphs(self):
+        # None unless the non-isolated Y-vertices form one block of at most
+        # two twin classes; one class is a complete bipartite graph, c0 = 0
+        two_blocks = BipartiteGraph(4, (0b0011, 0b0011, 0b1100, 0b1100))
+        for g in (BipartiteGraph.empty(5), staircase(6), staircase(30), three_class(30), two_blocks):
+            assert _class_quotient_coeffs(g) is None
+        assert _class_quotient_coeffs(BipartiteGraph(4, (0b0111, 0b0111, 0, 0))) == (6, 0)
+
+
 class TestRowCounts:
     def test_runs_interleaved_runs_zeros_and_none(self, rng):
         # the same multiplicities, in the same first-appearance order, as
@@ -779,7 +803,7 @@ class TestQuotientMatrix:
             for p in range(k, n):
                 params = ExtremalParams(n, k, p)
                 c2, c0 = quotient_matrix(params).char_poly_coeffs()
-                closed = _largest_biquadratic_root(c2, c0)
+                closed = _certified_root(round(c2), round(c0))[0]
                 power = spectral_radius(build_join(params)).value
                 assert closed == pytest.approx(power, abs=1e-7)
 
@@ -788,7 +812,7 @@ class TestQuotientMatrix:
             q = quotient_matrix(ExtremalParams(n, k, p))
             top = max(abs(v) for v in np.linalg.eigvals(q.as_array()))
             c2, c0 = q.char_poly_coeffs()
-            assert _largest_biquadratic_root(c2, c0) == pytest.approx(top, abs=1e-9)
+            assert _certified_root(round(c2), round(c0))[0] == pytest.approx(top, abs=1e-9)
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_irreducible_for_all_valid_params(self, k):
@@ -810,16 +834,15 @@ class TestQuotientMatrix:
             for n in (*range(2 * k, 13), 100, 1000):
                 for p in sorted({k, k + 1, n // 2, n - 1}):
                     c2, c0 = biquadratic_coeffs(n, k, p)
-                    x = _largest_biquadratic_root(c2, c0)
+                    x, upper = _certified_root(c2, c0)
                     below, above = x - 4 * math.ulp(x), x + 4 * math.ulp(x)
                     assert 2 * Fraction(below) ** 2 > c2
                     assert f(c2, c0, below) < 0 < f(c2, c0, above), (n, k, p)
+                    assert f(c2, c0, x) <= 0 <= f(c2, c0, upper), (n, k, p)
+                    assert upper - x <= 4 * math.ulp(x)
                     report = quotient_spectral_radius(ExtremalParams(n, k, p))
                     assert report.method == "quotient-closed-form"
-                    assert abs(report.value - x) <= 2 * math.ulp(x)
-                    assert report.residual <= 4 * math.ulp(x)
-                    hi = report.value + report.residual
-                    assert f(c2, c0, report.value) <= 0 <= f(c2, c0, hi), (n, k, p)
+                    assert (report.value, report.value + report.residual) == (x, upper)
 
 
 class TestCharPolys:
@@ -875,24 +898,29 @@ class TestCharPolys:
 
 
 class TestBiquadraticRoot:
+    # _certified_root is the one evaluator of the largest root of
+    # x^4 - c2 x^2 + c0; its ends are one ulp apart or equal here
     def test_extremal_4_2_coefficients(self):
-        assert _largest_biquadratic_root(13, 9) == pytest.approx(RHO_B_4_2, abs=1e-12)
+        value, upper = _certified_root(13, 9)
+        assert value <= RHO_B_4_2 <= upper and upper - value <= math.ulp(RHO_B_4_2)
 
     def test_unit(self):
-        assert _largest_biquadratic_root(1, 0) == pytest.approx(1.0, abs=1e-12)
+        assert _certified_root(1, 0) == (1.0, 1.0)
 
     def test_8_8(self):
-        assert _largest_biquadratic_root(8, 8) == pytest.approx(2.613125929752753, abs=1e-12)
+        value, upper = _certified_root(8, 8)
+        assert value == pytest.approx(2.613125929752753, abs=1e-12)
+        assert upper - value <= math.ulp(value)
 
     def test_rejects_negative_discriminant(self):
         with pytest.raises(GraphError):
-            _largest_biquadratic_root(2, 9)
+            _certified_root(2, 9)
 
     def test_rejects_bad_signs(self):
         with pytest.raises(GraphError):
-            _largest_biquadratic_root(-1, 0)
+            _certified_root(-1, 0)
         with pytest.raises(GraphError):
-            _largest_biquadratic_root(1, -1)
+            _certified_root(1, -1)
 
 
 class TestJoinMargin:
@@ -932,20 +960,53 @@ class TestJoinMargin:
             assert type(m.sign_value) is int
             assert m.sign_value == (x2 * x2 - c2b * x2 + c0b) - (x2 * x2 - c2j * x2 + c0j)
 
-    def test_closed_form_outside_bracket_raises(self, monkeypatch):
-        # a power value 1e-9 below the closed form passed the old 1e-7
-        # agreement; it lies outside the certified bracket
+    @pytest.mark.parametrize("n", [6, 40])
+    def test_graph_with_an_extra_edge_raises(self, n, monkeypatch):
+        # the built join graph, one edge added: its class quotient no longer
+        # has the coefficients of the closed form, on either side of
+        # _DENSE_START_MAX
         import rfl.spectral
 
-        real = rfl.spectral.spectral_radius
+        params = ExtremalParams(n, 3, 4)
+        join = build_join(params)
+        x, y = next((x, y) for x in range(1, n + 1) for y in range(n + 1, 2 * n + 1)
+                    if not join.has_edge(x, y))
+        grown = BipartiteGraph.from_edges(n, [*join.edges(), (x, y)])
+        assert join_margin(params).holds
+        monkeypatch.setattr(rfl.spectral, "build_join", lambda p: grown)
+        with pytest.raises(InconsistencyError, match="join graph"):
+            join_margin(params)
 
-        def shifted(g):
-            r = real(g)
-            return SpectralReport(r.value - 1e-9, r.method, r.iterations, r.residual)
+    def test_calls_neither_power_iteration_nor_bracket_slack(self, monkeypatch):
+        # the graphs are checked by exact equality of their class quotient's
+        # coefficients, at every n
+        import rfl.spectral
 
-        monkeypatch.setattr(rfl.spectral, "spectral_radius", shifted)
-        with pytest.raises(InconsistencyError):
-            join_margin(ExtremalParams(6, 3, 4))
+        def refuse(*args):
+            raise AssertionError("called")
+
+        monkeypatch.setattr(rfl.spectral, "spectral_radius", refuse)
+        monkeypatch.setattr(rfl.spectral, "bracket_contains", refuse)
+        for n, k, p in [(4, 2, 3), (16, 3, 5), (17, 3, 5), (100, 3, 33)]:
+            assert join_margin(ExtremalParams(n, k, p)).holds
+
+    def test_reports_certified_ends_and_a_lower_bound_on_the_gap(self):
+        # rho_extremal and rho_join are _certified_root's lower ends, and the
+        # margin lies below the exact gap, taken to 60 digits
+        def exact(c2, c0):
+            c2, c0 = Decimal(c2), Decimal(c0)
+            return ((c2 + (c2 * c2 - 4 * c0).sqrt()) / 2).sqrt()
+
+        with localcontext() as ctx:
+            ctx.prec = 60
+            for n, k, p in [(4, 2, 3), (10, 4, 5), (17, 2, 16), (40, 3, 13), (300, 4, 100)]:
+                m = join_margin(ExtremalParams(n, k, p))
+                cb, cj = biquadratic_coeffs(n, k, k), biquadratic_coeffs(n, k, p)
+                hi_j = _certified_root(*cj)[1]
+                assert m.rho_extremal == _certified_root(*cb)[0]
+                assert m.rho_join == _certified_root(*cj)[0]
+                assert m.margin == math.nextafter(m.rho_extremal - hi_j, -math.inf)
+                assert Decimal(m.margin) <= exact(*cb) - exact(*cj)
 
     def test_bracket_contains(self):
         report = SpectralReport(10.0, "power-iteration", 1, 1e-10)
@@ -975,4 +1036,4 @@ class TestJoinMargin:
         # the extremal graph strictly contains the complete (n)x(n-1) block
         for k in (2, 3, 4):
             for n in range(2 * k, 11):
-                assert extremal_spectral_radius(n, k) > math.sqrt(n * (n - 1))
+                assert quotient_spectral_radius(ExtremalParams(n, k)).value > math.sqrt(n * (n - 1))
