@@ -164,12 +164,7 @@ def _cmd_find_rainbow_factor(args) -> int:
             out["construct"] = {"status": "inapplicable", "reason": str(exc)}
     if do_search:
         result = rainbow_k_factor_search(family, budget=args.budget)
-        out["search"] = {
-            "status": result.status,
-            "nodes": result.nodes_visited,
-            "orbit_skips": result.orbit_skips,
-            "automorphisms": result.automorphisms,
-        }
+        out["search"] = {"status": result.status, **result.summary()}
         if status is None or result.status == FOUND:
             status = result.status
             if result.assignment is not None:

@@ -20,8 +20,16 @@ before use, so a missed map only prunes less.  ``SearchResult.orbit_skips``
 counts the skipped children and ``SearchResult.automorphisms`` the maps
 found.
 
-Absence is only ever reported when the tree has been exhausted; running out
-of node budget is a distinct third status.
+An integer-lattice certificate (``rfl.lattice``) proves absence without the
+tree when parity or another divisibility argument forbids a factor, as for
+the even cyclic Latin squares.  The search asks it once, at the first failed
+child, so a search that goes straight down to a factor never pays for it,
+and reports ABSENT with its witness.  It decides nothing where the integer
+relaxation is solvable: the odd cyclic squares, for one, and most even ones
+with a few edges added, which the tree still has to exhaust.
+
+Absence is otherwise only reported when the tree has been exhausted;
+running out of node budget is a distinct third status.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations, permutations
 from operator import or_
+from typing import TYPE_CHECKING
 
 from .flow import k_factor_exists
 from .graphs import BipartiteGraph, Edge, GraphError, GraphFamily, _bits
@@ -54,6 +63,9 @@ ABSENT = "absent"
 BUDGET_EXHAUSTED = "budget-exhausted"
 
 DEFAULT_BUDGET = 10_000_000
+
+if TYPE_CHECKING:
+    from .lattice import Witness
 
 
 @dataclass(frozen=True)
@@ -118,15 +130,36 @@ class SearchResult:
     nodes_visited: int
     orbit_skips: int = 0  # children skipped as images of a failed sibling
     automorphisms: int = 0  # verified family automorphisms found
+    witness: Witness | None = None  # per member, when the integer relaxation decided
 
     def factor(self, n: int, k: int) -> RainbowFactor:
         if self.status != FOUND or self.assignment is None:
             raise GraphError(f"no factor available on a {self.status!r} result")
         return RainbowFactor(n, k, self.assignment)
 
+    def summary(self) -> dict:
+        """How the result was obtained, as JSON values: the counters, and the
+        witness with its rationals as strings (None without one)."""
+        witness = None
+        if self.witness is not None:
+            witness = {
+                key: [str(value) for value in part]
+                for key, part in zip(("x", "y", "members"), self.witness)
+            }
+        return {
+            "nodes": self.nodes_visited,
+            "orbit_skips": self.orbit_skips,
+            "automorphisms": self.automorphisms,
+            "witness": witness,
+        }
+
 
 class _Budget(Exception):
     pass
+
+
+class _Certified(Exception):
+    """The integer relaxation has no solution; carries its witness."""
 
 
 def rainbow_k_factor_search(family: GraphFamily, budget: int = DEFAULT_BUDGET) -> SearchResult:
@@ -155,6 +188,15 @@ def rainbow_k_factor_search(family: GraphFamily, budget: int = DEFAULT_BUDGET) -
     skipped children and ``automorphisms`` the verified maps; both, like
     ``nodes_visited``, repeat exactly from run to run.  ``budget`` caps the
     nodes; running out is reported as BUDGET_EXHAUSTED, never as absence.
+
+    When a child first fails, the search asks once whether the family's
+    integer relaxation (edge weights of any integer sign, total 1 per member
+    and k per vertex) has a solution.  If not, it stops there with ABSENT
+    and ``witness`` = (f, g, h): Fractions on the X-vertices 1..n, the
+    Y-vertices n+1..2n and the members 1..kn, with f(x) + g(y) + h(i)
+    integral on every edge (x, y) of every member i and
+    k sum f + k sum g + sum h not integral.  Any factor would make that sum
+    integral.  ``witness`` is None on every other result.
     """
     return _search(family, budget)
 
@@ -180,8 +222,9 @@ def _search(family: GraphFamily, budget: int) -> SearchResult:
     for i, g in enumerate(members, start=1):
         classes.setdefault(g.x_rows, []).append(i)
     class_rows = list(classes)
-    class_cols = [members[ix[0] - 1].y_cols for ix in classes.values()]
-    need = [len(ix) for ix in classes.values()]
+    class_cols = [_columns(n, rows) for rows in class_rows]
+    sizes = [len(ix) for ix in classes.values()]
+    need = list(sizes)  # members each class has left to serve
     union = BipartiteGraph(n, tuple(reduce(or_, column) for column in zip(*class_rows)))
 
     # Vertices are 0-based within their part; X-vertex x and Y-vertex y are
@@ -193,6 +236,7 @@ def _search(family: GraphFamily, budget: int) -> SearchResult:
     chosen: list[tuple[int, int, int]] = []  # (class, x, y)
     nodes = orbit_skips = automorphisms = 0
     finder: _Symmetry | None = None
+    lattice_tried = False
 
     def place(c: int, x: int, y: int) -> None:
         need[c] -= 1
@@ -300,12 +344,24 @@ def _search(family: GraphFamily, budget: int) -> SearchResult:
         return False
 
     def branch(combo: tuple, depth: int) -> bool:
+        nonlocal lattice_tried
         for option in combo:
             place(*option)
         if descend(depth):
             return True
         for option in reversed(combo):
             unplace(*option)
+        # The first failed child, wherever it is, asks once whether the whole
+        # family's integer relaxation is solvable: a search that goes straight
+        # down to a factor never pays for it.  Imported here, so a process
+        # whose searches never fail a child never loads the lattice code.
+        if not lattice_tried:
+            lattice_tried = True
+            from .lattice import lattice_witness
+
+            witness = lattice_witness(n, k, class_rows, sizes)
+            if witness is not None:
+                raise _Certified(witness)
         return False
 
     def prune_orbits(failed: tuple, later: list, transpose: bool, depth: int) -> bool:
@@ -339,19 +395,33 @@ def _search(family: GraphFamily, budget: int) -> SearchResult:
     def symmetry() -> _Symmetry:
         nonlocal finder
         if finder is None:
-            finder = _Symmetry(n, class_rows, class_cols, [len(ix) for ix in classes.values()])
+            finder = _Symmetry(n, class_rows, class_cols, sizes)
         return finder
 
     try:
         found = descend(0)
     except _Budget:
         return SearchResult(BUDGET_EXHAUSTED, None, nodes, orbit_skips, automorphisms)
+    except _Certified as certified:
+        f, g, h = certified.args[0]
+        index = {rows: c for c, rows in enumerate(class_rows)}  # h per member, from its class
+        witness = f, g, tuple(h[index[member.x_rows]] for member in members)
+        return SearchResult(ABSENT, None, nodes, orbit_skips, automorphisms, witness)
     if not found:
         return SearchResult(ABSENT, None, nodes, orbit_skips, automorphisms)
     slots = [iter(ix) for ix in classes.values()]
     result = tuple(sorted((next(slots[c]), (x + 1, n + y + 1)) for c, x, y in chosen))
     RainbowFactor(n, k, result).validate(family)
     return SearchResult(FOUND, result, nodes, orbit_skips, automorphisms)
+
+
+def _columns(n: int, rows: tuple[int, ...]) -> tuple[int, ...]:
+    """The Y-columns of bit rows: bit x of column y <=> bit y of row x."""
+    cols = [0] * n
+    for x, row in enumerate(rows):
+        for y in _bits(row):
+            cols[y] |= 1 << x
+    return tuple(cols)
 
 
 def _completes(combo: tuple[tuple[int, int, int], ...], need: list[int]) -> bool:

@@ -299,9 +299,7 @@ def _campaign_extremal_absence(config: ExperimentConfig):
         has_factor = k_factor_exists(g, k)
         values = {
             "search_status": result.status,
-            "nodes": result.nodes_visited,
-            "orbit_skips": result.orbit_skips,
-            "automorphisms": result.automorphisms,
+            **result.summary(),
             "k_factor_exists": has_factor,
         }
         yield {"n": n, "k": k}, values, result.status == ABSENT and not has_factor, family
@@ -351,9 +349,7 @@ def _campaign_theorem_sample(config: ExperimentConfig):
             "certified": certified,
             "search_status": result.status,
             "expected": expected,
-            "nodes": result.nodes_visited,
-            "orbit_skips": result.orbit_skips,
-            "automorphisms": result.automorphisms,
+            **result.summary(),
         }
         params = {"trial": trial, "n": n, "k": k, "identical": identical}
         yield params, values, certified and result.status == expected, family

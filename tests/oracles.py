@@ -7,11 +7,14 @@ polynomial, against which the library's integer coefficients are checked,
 the complete-block, quasi-complement and bowtie-join builders that
 compose the extremal and join graphs the library writes row by row, the
 extremal signature by degrees and comparison with a built copy,
-isomorphism to the extremal graph by canonical relabeling, and the
-deletion of one vertex's edges."""
+isomorphism to the extremal graph by canonical relabeling, the
+deletion of one vertex's edges, the cyclic Latin squares with or without
+added edge orbits, and the check, in Fractions, of a lattice witness that a
+family has no rainbow factor."""
 
 from collections import Counter, deque
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations, permutations, product
 from typing import Iterable
 
@@ -90,6 +93,43 @@ def brute_force_rainbow_matching(
         if len(xs) == n and len(ys) == n:
             return tuple((i + 1, e) for i, e in enumerate(combo))
     return None
+
+
+def check_lattice_witness(family, witness) -> bool:
+    """Oracle: whether witness = (f, g, h) proves that the family has no
+    rainbow k-factor.  f holds a rational for each X-vertex 1..n, g for each
+    Y-vertex n+1..2n and h for each member 1..kn, as Fractions or as their
+    strings.  A factor takes kn edges, one from each member, with degree k
+    at every vertex; summing f(x) + g(y) + h(i) over them gives
+    k sum f + k sum g + sum h.  So if every term is an integer on every
+    edge of every member and that total is not, no factor exists (nor even
+    an integer weighting of the members' edges with those degree and member
+    sums)."""
+    n, k, members = family.n, family.k, family.members
+    f, g, h = ([Fraction(v) for v in part] for part in witness)
+    if (len(f), len(g), len(h)) != (n, n, len(members)):
+        return False
+    for i, member in enumerate(members):
+        for x in range(n):
+            for y in range(n):
+                if member.x_rows[x] >> y & 1 and (f[x] + g[y] + h[i]).denominator != 1:
+                    return False
+    return (k * sum(f) + k * sum(g) + sum(h)).denominator != 1
+
+
+def cyclic_latin(n: int, added: Iterable[tuple[int, int, int]] = ()) -> list[BipartiteGraph]:
+    """The colour classes G_i = {(x, y) : x + y = i mod n}, i = 0..n-1 on
+    0-based vertices, of the cyclic Latin square, which has a transversal iff
+    n is odd (for even n, a parity argument rules one out).
+
+    Each (i, x, y) in added joins the 0-based cell (x, y) to G_i, together
+    with its image under (x, y) -> (x + n/2, y - n/2) for even n.  That map
+    fixes every class, so it stays an automorphism of the family, while a
+    cell off G_i's diagonal breaks the parity argument."""
+    cells = [{(x, y) for x in range(n) for y in range(n) if (x + y) % n == i} for i in range(n)]
+    for i, x, y in added:
+        cells[i] |= {(x, y), ((x + n // 2) % n, (y - n // 2) % n)}
+    return [BipartiteGraph.from_edges(n, [(x + 1, n + y + 1) for x, y in c]) for c in cells]
 
 
 def brute_force_automorphisms(members) -> list[tuple[int, tuple[int, ...], tuple[int, ...]]]:

@@ -1,5 +1,6 @@
 import itertools
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,12 +30,15 @@ from rfl.graphs import (
     labeled_extremal_copy,
 )
 from rfl.flow import _augment, degree_constrained_subgraph, k_factor_exists
+from rfl.lattice import lattice_witness
 from rfl.spectral import quotient_spectral_radius
 from tests.conftest import random_graph
 from tests.oracles import (
     brute_force_automorphisms,
     brute_force_k_factor_exists,
     brute_force_rainbow_matching,
+    check_lattice_witness,
+    cyclic_latin,
     exact_degree_exists,
 )
 
@@ -256,11 +260,11 @@ def oracle_rainbow_factor_exists(family: GraphFamily) -> bool:
         rows = [r | m for r, m in zip(rows, g.x_rows)]
     union = BipartiteGraph(n, tuple(rows))
     picks_per_x = [itertools.combinations(union.neighbors(x), k) for x in range(1, n + 1)]
+    k_each = [y for y in range(n + 1, 2 * n + 1) for _ in range(k)]  # every Y-degree k
     for picks in itertools.product(*picks_per_x):
-        edges = [(x, y) for x, ys in enumerate(picks, start=1) for y in ys]
-        y_degree = Counter(y for _x, y in edges)
-        if any(y_degree[y] != k for y in range(n + 1, 2 * n + 1)):
+        if sorted(itertools.chain.from_iterable(picks)) != k_each:
             continue
+        edges = [(x, y) for x, ys in enumerate(picks, start=1) for y in ys]
         candidates = [
             (i, total + j)
             for i, g in enumerate(family.members, start=1)
@@ -270,17 +274,6 @@ def oracle_rainbow_factor_exists(family: GraphFamily) -> bool:
         if degree_constrained_subgraph(total, candidates, [1] * total, [1] * total) is not None:
             return True
     return False
-
-
-def cyclic_latin(n: int) -> list[BipartiteGraph]:
-    """G_i = {(x, y) : x + y = i mod n}, i = 1..n: the colour classes of the
-    cyclic Latin square, which has a transversal iff n is odd."""
-    return [
-        BipartiteGraph.from_edges(
-            n, [(x, n + y) for x in range(1, n + 1) for y in range(1, n + 1) if (x + y - i) % n == 0]
-        )
-        for i in range(1, n + 1)
-    ]
 
 
 def one_odd_family(n: int, k: int) -> GraphFamily:
@@ -330,32 +323,108 @@ class TestAdversarialFamilies:
     @pytest.mark.parametrize("n", [6, 7, 8, 9, 10, 11])
     def test_cyclic_latin_square_has_transversal_iff_odd(self, n):
         members = cyclic_latin(n)
+        family = GraphFamily(n, 1, tuple(members))
         result = rainbow_perfect_matching_search(members)
         assert result.status == (FOUND if n % 2 else ABSENT)
         if n % 2:
-            result.factor(n, 1).validate(GraphFamily(n, 1, tuple(members)))
+            result.factor(n, 1).validate(family)
+            assert result.witness is None
         else:
-            assert result.nodes_visited > 1  # decided by the backtracking, not the root
+            # decided by the integer relaxation at the first failed child,
+            # before any orbit search, with a witness checked apart
+            assert check_lattice_witness(family, result.witness)
+            assert result.nodes_visited <= n
+            assert result.orbit_skips == result.automorphisms == 0
 
     def test_cyclic_order_12_absent_within_100k_nodes(self):
         members = cyclic_latin(12)
+        for budget in (100_000, 1_000):  # the certificate comes long before either
+            result = rainbow_perfect_matching_search(members, budget=budget)
+            assert result.status == ABSENT
+            assert check_lattice_witness(GraphFamily(12, 1, tuple(members)), result.witness)
+
+    def test_perturbed_cyclic_square_absent_with_orbit_pruning(self):
+        # one edge orbit added to a class of the order-10 square: the integer
+        # relaxation is solvable, so only the backtracking decides absence,
+        # and the translation by 5 survives for orbit pruning
+        members = cyclic_latin(10, [(4, 8, 7)])
         result = rainbow_perfect_matching_search(members, budget=100_000)
-        assert result.status == ABSENT
+        assert result.status == ABSENT and result.witness is None
+        assert result.nodes_visited > 1_000
         assert result.orbit_skips > 0 and result.automorphisms > 0
         short = rainbow_perfect_matching_search(members, budget=1_000)
         assert short.status == BUDGET_EXHAUSTED and short.assignment is None
 
     def test_counters_repeat_exactly(self):
-        runs = [rainbow_perfect_matching_search(cyclic_latin(8)) for _ in range(2)]
+        runs = [rainbow_perfect_matching_search(cyclic_latin(8, [(0, 6, 0)])) for _ in range(2)]
         assert runs[0] == runs[1]
+        assert runs[0].status == ABSENT and runs[0].witness is None
         assert runs[0].orbit_skips > 0 and runs[0].automorphisms > 0
+        certified = [rainbow_perfect_matching_search(cyclic_latin(8)) for _ in range(2)]
+        assert certified[0] == certified[1] and certified[0].witness is not None
 
 
+class TestLatticeCertificate:
+    @pytest.mark.parametrize("n", range(2, 17, 2))
+    def test_even_cyclic_squares_are_certified(self, n):
+        members = cyclic_latin(n)
+        result = rainbow_perfect_matching_search(members, budget=n)
+        assert result.status == ABSENT and result.orbit_skips == result.automorphisms == 0
+        assert check_lattice_witness(GraphFamily(n, 1, tuple(members)), result.witness)
+
+    @pytest.mark.parametrize("n", range(1, 16, 2))
+    def test_odd_cyclic_squares_have_no_witness(self, n):
+        rows = [g.x_rows for g in cyclic_latin(n)]
+        assert lattice_witness(n, 1, rows, [1] * n) is None
+
+    def test_witness_only_on_absent_families(self, rng):
+        witnesses = Counter()
+        for _ in range(600):
+            n = int(rng.integers(2, 5))
+            k = int(rng.integers(1, min(3, n) + 1))
+            pool = [random_graph(rng, n, 0.1 + 0.8 * float(rng.random())) for _ in range(3)]
+            members = tuple(pool[int(i)] for i in rng.integers(0, len(pool), size=k * n))
+            family = GraphFamily(n, k, members)
+            classes = Counter(g.x_rows for g in members)
+            rows = list(classes)
+            witness = lattice_witness(n, k, rows, [classes[r] for r in rows])
+            if witness is not None:
+                f, g, h = witness
+                per_member = [h[rows.index(m.x_rows)] for m in members]
+                assert check_lattice_witness(family, (f, g, per_member)), members
+                assert not oracle_rainbow_factor_exists(family), members
+            result = rainbow_k_factor_search(family)
+            if result.witness is not None:
+                assert result.status == ABSENT and witness is not None
+                assert check_lattice_witness(family, result.witness)
+            witnesses[witness is not None, result.witness is not None] += 1
+        # the relaxation decides many absences; most of them the root's prunes
+        # see first, and the search asks it on some
+        assert witnesses[True, False] + witnesses[True, True] >= 100, witnesses
+        assert witnesses[True, True] >= 1, witnesses
+
+    def test_a_class_without_edges_has_a_witness(self):
+        empty, full = BipartiteGraph.empty(3), BipartiteGraph.complete(3)
+        family = GraphFamily(3, 1, (empty, full, full))
+        f, g, h = lattice_witness(3, 1, [empty.x_rows, full.x_rows], [1, 2])
+        assert check_lattice_witness(family, (f, g, (h[0], h[1], h[1])))
+
+    def test_oracle_rejects_a_broken_witness(self):
+        family = GraphFamily(6, 1, tuple(cyclic_latin(6)))
+        f, g, h = rainbow_k_factor_search(family).witness
+        assert check_lattice_witness(family, (f, g, h))
+        half = Fraction(1, 2)
+        assert not check_lattice_witness(family, ((f[0] + half,) + f[1:], g, h))
+        assert not check_lattice_witness(family, (f, g, (h[0] + half,) + h[1:]))
+        assert not check_lattice_witness(family, (f, g, h[:-1]))
+
+
+# abelian groups of orders 2-5 as (operation, inverse)
 GROUP_TABLES = {
-    2: [lambda x, y: (x + y) % 2],
-    3: [lambda x, y: (x + y) % 3],
-    4: [lambda x, y: (x + y) % 4, lambda x, y: x ^ y],
-    5: [lambda x, y: (x + y) % 5],
+    2: [(lambda x, y: (x + y) % 2, lambda a: -a % 2)],
+    3: [(lambda x, y: (x + y) % 3, lambda a: -a % 3)],
+    4: [(lambda x, y: (x + y) % 4, lambda a: -a % 4), (lambda x, y: x ^ y, lambda a: a)],
+    5: [(lambda x, y: (x + y) % 5, lambda a: -a % 5)],
 }
 
 
@@ -372,7 +441,11 @@ def symmetric_family(rng, n: int, k: int, kind: str) -> GraphFamily:
     """A family with a nontrivial automorphism by construction.
 
     - "isotope": the colour classes of a group table under random row,
-      column and symbol permutations, each class k times;
+      column and symbol permutations, each class k times; half of them with
+      one to three edge orbits added under a translation (x, y) ->
+      (x + a, y - a), which fixes every class and so stays an automorphism
+      (without them, the even-order tables with no transversal are all
+      decided by the integer relaxation before any orbit search);
     - "shift": the orbits of k random members under (x, y) -> (x + 1, y + a);
     - "transpose": random members beside their transposes, and members equal
       to their own transpose;
@@ -380,12 +453,17 @@ def symmetric_family(rng, n: int, k: int, kind: str) -> GraphFamily:
       map, either (x, y) -> (sx[x], sy[y]) or (x, y) -> (sx[y], sx[x]).
     """
     if kind == "isotope":
-        table = GROUP_TABLES[n][int(rng.integers(len(GROUP_TABLES[n])))]
+        op, inverse = GROUP_TABLES[n][int(rng.integers(len(GROUP_TABLES[n])))]
+        classes = [{(x, y) for x in range(n) for y in range(n) if op(x, y) == i} for i in range(n)]
+        if rng.random() < 0.5:
+            a = int(rng.integers(1, n))
+            for _ in range(int(rng.integers(1, 4))):
+                cell, i = (int(rng.integers(n)), int(rng.integers(n))), int(rng.integers(n))
+                while cell not in classes[i]:
+                    classes[i].add(cell)
+                    cell = (op(cell[0], a), op(cell[1], inverse(a)))
         r, c, s = (rng.permutation(n).tolist() for _ in range(3))
-        squares = [
-            from_cells(n, [(r[x], c[y]) for x in range(n) for y in range(n) if s[table(x, y)] == i])
-            for i in range(n)
-        ]
+        squares = [from_cells(n, [(r[x], c[y]) for x, y in classes[s[i]]]) for i in range(n)]
         return GraphFamily(n, k, tuple(squares * k))
     if kind == "invariant":
         transpose = rng.random() < 0.5
@@ -431,7 +509,7 @@ class TestOrbitPruning:
 
     def test_agrees_with_oracle_on_symmetric_families(self, rng):
         pruned = Counter()
-        for trial in range(800):
+        for trial in range(2400):
             kind = self.KINDS[trial % 4]
             n = int(rng.integers(2, 6))
             k = int(rng.integers(1, 3)) if n <= 4 else 1

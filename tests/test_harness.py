@@ -26,7 +26,12 @@ from rfl.harness import (
     run_campaign,
 )
 from rfl.spectral import quotient_spectral_radius
-from tests.oracles import is_extremal_isomorphic
+from tests.oracles import (
+    brute_force_rainbow_matching,
+    check_lattice_witness,
+    cyclic_latin,
+    is_extremal_isomorphic,
+)
 
 
 class TestRandomBipartite:
@@ -214,7 +219,7 @@ class TestCampaigns:
         assert points == [(4, 2), (5, 2), (6, 2), (7, 2), (8, 2), (6, 3), (7, 3), (8, 3), (8, 4)]
         assert payload["summary"]["passed"] == report.passed == 9
         assert payload["summary"]["failed"] == 0
-        assert {"nodes", "orbit_skips", "automorphisms"} <= set(payload["cases"][0]["values"])
+        assert {"nodes", "orbit_skips", "automorphisms", "witness"} <= set(payload["cases"][0]["values"])
 
     @pytest.mark.parametrize(
         "campaign, name",
@@ -361,25 +366,38 @@ class TestCLI:
         out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert out["status"] == "absent"
 
-    def test_find_rainbow_factor_reports_orbit_counters(self, tmp_path, capsys):
-        # the cyclic Latin square of order 6: no transversal, and its
-        # translations make every first-class edge equivalent
-        n = 6
-        members = tuple(
-            BipartiteGraph(n, tuple(sum(1 << y for y in range(n) if (x + y) % n == i) for x in range(n)))
-            for i in range(n)
-        )
+    def search_twice(self, family: GraphFamily, tmp_path, capsys) -> dict:
+        """The search entry of find-rainbow-factor --search, which repeats
+        exactly from run to run."""
         src = tmp_path / "fam.txt"
-        fileio.write_family(src, GraphFamily(n, 1, members))
+        fileio.write_family(src, family)
         outputs = []
         for _ in range(2):
             assert self.run("find-rainbow-factor", "--in", str(src), "--search") == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
         search = json.loads(outputs[0].strip().splitlines()[-1])["search"]
-        assert search["status"] == "absent"
+        assert set(search) == {"status", "nodes", "orbit_skips", "automorphisms", "witness"}
+        return search
+
+    def test_find_rainbow_factor_reports_orbit_counters(self, tmp_path, capsys):
+        # the cyclic Latin square of order 6 with one edge orbit added: no
+        # transversal, no lattice witness, and translations left to prune
+        family = GraphFamily(6, 1, tuple(cyclic_latin(6, [(0, 5, 0)])))
+        search = self.search_twice(family, tmp_path, capsys)
+        assert search["status"] == "absent" and search["witness"] is None
         assert search["orbit_skips"] > 0 and search["automorphisms"] > 0
-        assert set(search) == {"status", "nodes", "orbit_skips", "automorphisms"}
+        assert brute_force_rainbow_matching(family.members) is None
+
+    def test_find_rainbow_factor_reports_a_witness(self, tmp_path, capsys):
+        # the cyclic Latin square of order 6: absent by a parity witness,
+        # printed as strings that the oracle checks apart from the library
+        family = GraphFamily(6, 1, tuple(cyclic_latin(6)))
+        search = self.search_twice(family, tmp_path, capsys)
+        assert search["status"] == "absent"
+        assert search["orbit_skips"] == search["automorphisms"] == 0
+        witness = search["witness"]
+        assert check_lattice_witness(family, (witness["x"], witness["y"], witness["members"]))
 
     def test_margin_grid_csv(self, tmp_path):
         out = tmp_path / "grid.csv"
