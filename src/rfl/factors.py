@@ -3,9 +3,13 @@ matchings.
 
 The exact searches treat members with equal edge sets as one class, so they
 never re-explore the permutations of identical members, and they branch on
-the most constrained item (an open vertex or a class with one member left),
-as in exact-cover search.  Free edges are per-vertex bitmasks counted with
-``int.bit_count``; a flow check on the members' union prunes at the root.
+the most constrained item (an open X-vertex or a class with one member
+left), as in exact-cover search.  Free edges are per-X-vertex bitmasks
+counted with ``int.bit_count``.  A flow at every node asks whether the live
+classes' free edges together can meet every deficit, X and Y alike, the way
+Régin's flow-based ``alldifferent`` filter checks its matching at every node
+(Régin, AAAI 1994); it subsumes every per-Y-vertex count, so the search
+scans and branches on the X side only.
 
 Orbit pruning (McKay, "Isomorph-free exhaustive generation", J. Algorithms
 1998) removes much of the family's remaining symmetry.  An automorphism of
@@ -23,10 +27,11 @@ found.
 An integer-lattice certificate (``rfl.lattice``) proves absence without the
 tree when parity or another divisibility argument forbids a factor, as for
 the even cyclic Latin squares.  The search asks it once, at the first failed
-child, so a search that goes straight down to a factor never pays for it,
-and reports ABSENT with its witness.  It decides nothing where the integer
-relaxation is solvable: the odd cyclic squares, for one, and most even ones
-with a few edges added, which the tree still has to exhaust.
+child or when the budget runs out before one, so a search that goes
+straight down to a factor never pays for it, and reports ABSENT with its
+witness.  It decides nothing where the integer relaxation is solvable: the
+odd cyclic squares, for one, and most even ones with a few edges added,
+which the tree still has to exhaust.
 
 Absence is otherwise only reported when the tree has been exhausted;
 running out of node budget is a distinct third status.
@@ -35,12 +40,10 @@ running out of node budget is a distinct third status.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from itertools import combinations, permutations
-from operator import or_
+from itertools import permutations
 from typing import TYPE_CHECKING
 
-from .flow import k_factor_exists
+from .flow import _exact_degree
 from .graphs import BipartiteGraph, Edge, GraphError, GraphFamily, _bits
 from .shifting import is_bi_shifted
 from .spectral import spectral_radius
@@ -130,6 +133,7 @@ class SearchResult:
     nodes_visited: int
     orbit_skips: int = 0  # children skipped as images of a failed sibling
     automorphisms: int = 0  # verified family automorphisms found
+    flow_cuts: int = 0  # nodes whose free edges cannot meet the deficits
     witness: Witness | None = None  # per member, when the integer relaxation decided
 
     def factor(self, n: int, k: int) -> RainbowFactor:
@@ -150,6 +154,7 @@ class SearchResult:
             "nodes": self.nodes_visited,
             "orbit_skips": self.orbit_skips,
             "automorphisms": self.automorphisms,
+            "flow_cuts": self.flow_cuts,
             "witness": witness,
         }
 
@@ -168,13 +173,15 @@ def rainbow_k_factor_search(family: GraphFamily, budget: int = DEFAULT_BUDGET) -
     Members with equal edge sets form one class; the search decides how many
     edges each class supplies where, and hands out member indices only once a
     factor is found.  One node is one call of the recursive step.  At every
-    node the step returns at once if an open vertex has fewer free edges than
-    its missing degree, or a class fewer free edges than members left to
-    serve.  Otherwise it branches on the item with the fewest free
-    (class, edge) options: an open vertex, given all its missing edges at
-    once, or a class with one member left, given its one edge.  The root
-    also runs a flow check: does the union of the members have a k-factor at
-    all?
+    node the step returns at once if a class has fewer free edges than
+    members left to serve, or an open X-vertex fewer than its missing
+    degree, or if a flow finds no subgraph of the live classes' free edges
+    with every vertex's missing degree (at the root: the members' union has
+    no k-factor); ``flow_cuts`` counts the nodes the flow failed.  Otherwise
+    it branches on the item with the fewest free (class, edge) options per
+    edge a child places: an open X-vertex, given all its missing edges at
+    once, or a class with one member left, given its one edge.  Both list
+    every option, so the search is complete.
 
     At the root and its children, once a child fails and siblings remain,
     the search looks for family automorphisms that fix the placements made
@@ -186,12 +193,14 @@ def rainbow_k_factor_search(family: GraphFamily, budget: int = DEFAULT_BUDGET) -
     explored children keep their order, and so the factor returned is the
     one the search would find without pruning.  ``orbit_skips`` counts the
     skipped children and ``automorphisms`` the verified maps; both, like
-    ``nodes_visited``, repeat exactly from run to run.  ``budget`` caps the
-    nodes; running out is reported as BUDGET_EXHAUSTED, never as absence.
+    ``nodes_visited`` and ``flow_cuts``, repeat exactly from run to run.
+    ``budget`` caps the nodes; running out is reported as BUDGET_EXHAUSTED,
+    never as absence.
 
-    When a child first fails, the search asks once whether the family's
-    integer relaxation (edge weights of any integer sign, total 1 per member
-    and k per vertex) has a solution.  If not, it stops there with ABSENT
+    When a child first fails, or the budget runs out before one does, the
+    search asks once whether the family's integer relaxation (edge weights
+    of any integer sign, total 1 per member and k per vertex) has a
+    solution.  If not, it stops there with ABSENT
     and ``witness`` = (f, g, h): Fractions on the X-vertices 1..n, the
     Y-vertices n+1..2n and the members 1..kn, with f(x) + g(y) + h(i)
     integral on every edge (x, y) of every member i and
@@ -222,19 +231,16 @@ def _search(family: GraphFamily, budget: int) -> SearchResult:
     for i, g in enumerate(members, start=1):
         classes.setdefault(g.x_rows, []).append(i)
     class_rows = list(classes)
-    class_cols = [_columns(n, rows) for rows in class_rows]
     sizes = [len(ix) for ix in classes.values()]
     need = list(sizes)  # members each class has left to serve
-    union = BipartiteGraph(n, tuple(reduce(or_, column) for column in zip(*class_rows)))
 
     # Vertices are 0-based within their part; X-vertex x and Y-vertex y are
     # joined by edge (x, y).  A vertex is open while its deficit is positive.
     deficit_x = [k] * n
     deficit_y = [k] * n
     used_rows = [0] * n  # bit y of used_rows[x] <=> edge (x, y) is taken
-    used_cols = [0] * n  # bit x of used_cols[y] <=> edge (x, y) is taken
     chosen: list[tuple[int, int, int]] = []  # (class, x, y)
-    nodes = orbit_skips = automorphisms = 0
+    nodes = orbit_skips = automorphisms = flow_cuts = 0
     finder: _Symmetry | None = None
     lattice_tried = False
 
@@ -243,43 +249,34 @@ def _search(family: GraphFamily, budget: int) -> SearchResult:
         deficit_x[x] -= 1
         deficit_y[y] -= 1
         used_rows[x] |= 1 << y
-        used_cols[y] |= 1 << x
         chosen.append((c, x, y))
 
     def unplace(c: int, x: int, y: int) -> None:
         chosen.pop()
-        used_cols[y] &= ~(1 << x)
         used_rows[x] &= ~(1 << y)
         deficit_y[y] += 1
         deficit_x[x] += 1
         need[c] += 1
 
     def descend(depth: int) -> bool:
-        nonlocal nodes
+        nonlocal nodes, flow_cuts
         nodes += 1
         if nodes > budget:
             raise _Budget
         open_x = [x for x in range(n) if deficit_x[x]]
         if not open_x:
             return True
-        if nodes == 1 and not k_factor_exists(union, k):
-            return False
-        open_y = [y for y in range(n) if deficit_y[y]]
-        mask_x = sum(1 << x for x in open_x)
-        mask_y = sum(1 << y for y in open_y)
+        mask_y = sum(1 << y for y in range(n) if deficit_y[y])
         free_rows = [mask_y & ~used for used in used_rows]
-        free_cols = [mask_x & ~used for used in used_cols]
         open_rows = [(x, free_rows[x]) for x in open_x]
-        open_cols = [(y, free_cols[y]) for y in open_y]
         live = [c for c in range(len(need)) if need[c]]
 
-        # Free (class, edge) options at each open vertex, and the distinct
+        # Free (class, edge) options at each open X-vertex, and the distinct
         # free edges they reach; a class's free edges against its need.
         options_x, reach_x = [0] * n, [0] * n
-        options_y, reach_y = [0] * n, [0] * n
         best, best_cost = None, None
         for c in live:
-            rows, cols = class_rows[c], class_cols[c]
+            rows = class_rows[c]
             free = 0
             for x, free_row in open_rows:
                 edges = rows[x] & free_row
@@ -292,20 +289,18 @@ def _search(family: GraphFamily, budget: int) -> SearchResult:
                 return False
             if need[c] == 1 and (best_cost is None or free < best_cost):
                 best, best_cost = ("class", c), free
-            for y, free_col in open_cols:
-                edges = cols[y] & free_col
-                if edges:
-                    options_y[y] += edges.bit_count()
-                    reach_y[y] |= edges
-        for side, opens, deficit, options, reach in (
-            ("x", open_x, deficit_x, options_x, reach_x),
-            ("y", open_y, deficit_y, options_y, reach_y),
-        ):
-            for v in opens:
-                if reach[v].bit_count() < deficit[v]:
-                    return False
-                if best_cost is None or options[v] < best_cost:
-                    best, best_cost = (side, v), options[v]
+        for x in open_x:
+            if reach_x[x].bit_count() < deficit_x[x]:
+                return False
+            # options per edge placed: a child of x places deficit_x[x]
+            # edges, a child of a class one
+            cost = options_x[x] / deficit_x[x]
+            if best_cost is None or cost < best_cost:
+                best, best_cost = ("x", x), cost
+        # The free edges together must meet every deficit, on both sides.
+        if _exact_degree(reach_x, deficit_x, deficit_y) is None:
+            flow_cuts += 1
+            return False
 
         kind, item = best
         if kind == "class":
@@ -313,25 +308,13 @@ def _search(family: GraphFamily, budget: int) -> SearchResult:
                 ((item, x, y),) for x in open_x for y in _bits(class_rows[item][x] & free_rows[x])
             )
         else:
-            if kind == "x":
-                options = [
-                    (c, item, y)
-                    for y in _bits(reach_x[item])
-                    for c in live
-                    if class_rows[c][item] >> y & 1
-                ]
-                deficit = deficit_x[item]
-            else:
-                options = [
-                    (c, x, item)
-                    for x in _bits(reach_y[item])
-                    for c in live
-                    if class_cols[c][item] >> x & 1
-                ]
-                deficit = deficit_y[item]
-            children = (
-                combo for combo in combinations(options, deficit) if _completes(combo, need)
-            )
+            options = [
+                (c, item, y)
+                for y in _bits(reach_x[item])
+                for c in live
+                if class_rows[c][item] >> y & 1
+            ]
+            children = _vertex_children(options, deficit_x[item], need)
         for combo in children:
             if branch(combo, depth + 1):
                 return True
@@ -344,7 +327,6 @@ def _search(family: GraphFamily, budget: int) -> SearchResult:
         return False
 
     def branch(combo: tuple, depth: int) -> bool:
-        nonlocal lattice_tried
         for option in combo:
             place(*option)
         if descend(depth):
@@ -353,16 +335,23 @@ def _search(family: GraphFamily, budget: int) -> SearchResult:
             unplace(*option)
         # The first failed child, wherever it is, asks once whether the whole
         # family's integer relaxation is solvable: a search that goes straight
-        # down to a factor never pays for it.  Imported here, so a process
-        # whose searches never fail a child never loads the lattice code.
-        if not lattice_tried:
-            lattice_tried = True
-            from .lattice import lattice_witness
-
-            witness = lattice_witness(n, k, class_rows, sizes)
-            if witness is not None:
-                raise _Certified(witness)
+        # down to a factor never pays for it.
+        witness = certificate()
+        if witness is not None:
+            raise _Certified(witness)
         return False
+
+    def certificate() -> Witness | None:
+        """The lattice witness, on the first call only.  Imported here, so a
+        process whose searches never fail a child never loads the lattice
+        code."""
+        nonlocal lattice_tried
+        if lattice_tried:
+            return None
+        lattice_tried = True
+        from .lattice import lattice_witness
+
+        return lattice_witness(n, k, class_rows, sizes)
 
     def prune_orbits(failed: tuple, later: list, transpose: bool, depth: int) -> bool:
         """Try the siblings ``later`` of the failed child ``failed`` in order,
@@ -395,24 +384,33 @@ def _search(family: GraphFamily, budget: int) -> SearchResult:
     def symmetry() -> _Symmetry:
         nonlocal finder
         if finder is None:
-            finder = _Symmetry(n, class_rows, class_cols, sizes)
+            finder = _Symmetry(n, class_rows, sizes)
         return finder
+
+    def result(status: str, assignment=None, witness=None) -> SearchResult:
+        return SearchResult(
+            status, assignment, nodes, orbit_skips, automorphisms, flow_cuts, witness
+        )
 
     try:
         found = descend(0)
     except _Budget:
-        return SearchResult(BUDGET_EXHAUSTED, None, nodes, orbit_skips, automorphisms)
+        # a budget spent before any child failed still asks the certificate
+        witness = certificate()
+        if witness is None:
+            return result(BUDGET_EXHAUSTED)
     except _Certified as certified:
-        f, g, h = certified.args[0]
-        index = {rows: c for c, rows in enumerate(class_rows)}  # h per member, from its class
-        witness = f, g, tuple(h[index[member.x_rows]] for member in members)
-        return SearchResult(ABSENT, None, nodes, orbit_skips, automorphisms, witness)
-    if not found:
-        return SearchResult(ABSENT, None, nodes, orbit_skips, automorphisms)
-    slots = [iter(ix) for ix in classes.values()]
-    result = tuple(sorted((next(slots[c]), (x + 1, n + y + 1)) for c, x, y in chosen))
-    RainbowFactor(n, k, result).validate(family)
-    return SearchResult(FOUND, result, nodes, orbit_skips, automorphisms)
+        witness = certified.args[0]
+    else:
+        if not found:
+            return result(ABSENT)
+        slots = [iter(ix) for ix in classes.values()]
+        factor = tuple(sorted((next(slots[c]), (x + 1, n + y + 1)) for c, x, y in chosen))
+        RainbowFactor(n, k, factor).validate(family)
+        return result(FOUND, factor)
+    f, g, h = witness
+    index = {rows: c for c, rows in enumerate(class_rows)}  # h per member, from its class
+    return result(ABSENT, witness=(f, g, tuple(h[index[member.x_rows]] for member in members)))
 
 
 def _columns(n: int, rows: tuple[int, ...]) -> tuple[int, ...]:
@@ -424,12 +422,31 @@ def _columns(n: int, rows: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(cols)
 
 
-def _completes(combo: tuple[tuple[int, int, int], ...], need: list[int]) -> bool:
-    """Whether (class, x, y) options take distinct edges and no class more
-    often than it still has members."""
-    taken = [c for c, _x, _y in combo]
-    edges = {(x, y) for _c, x, y in combo}
-    return len(edges) == len(combo) and all(taken.count(c) <= need[c] for c in taken)
+def _vertex_children(options: list, d: int, need: list[int]):
+    """The d-subsets of one X-vertex's (class, x, y) options, sorted by y,
+    that take distinct edges and no class more often than it still has
+    members, in ``itertools.combinations`` order.  A run of options on one
+    edge is skipped as soon as one of them is taken."""
+    after = [len(options)] * len(options)  # the first later option on another edge
+    for i in range(len(options) - 2, -1, -1):
+        after[i] = after[i + 1] if options[i + 1][2] == options[i][2] else i + 1
+    taken = dict.fromkeys((c for c, _x, _y in options), 0)
+    combo: list[tuple[int, int, int]] = []
+
+    def extend(start: int):
+        if len(combo) == d:
+            yield tuple(combo)
+            return
+        for i in range(start, len(options)):
+            c = options[i][0]
+            if taken[c] < need[c]:
+                taken[c] += 1
+                combo.append(options[i])
+                yield from extend(after[i])
+                combo.pop()
+                taken[c] -= 1
+
+    return extend(0)
 
 
 def _close(dead: set[frozenset], maps: list[tuple]) -> None:
@@ -468,10 +485,11 @@ class _Symmetry:
     fails the check is never returned.
     """
 
-    def __init__(self, n: int, class_rows: list, class_cols: list, count: list[int]):
+    def __init__(self, n: int, class_rows: list, count: list[int]):
         self.n, self.class_rows, self.count = n, class_rows, count
         self.index = {rows: c for c, rows in enumerate(class_rows)}
         m = len(class_rows)
+        class_cols = [_columns(n, rows) for rows in class_rows]
         xc = [[rows[x] for rows in class_rows] for x in range(n)]  # X-vertex, class -> Y-mask
         yc = [[cols[y] for cols in class_cols] for y in range(n)]  # Y-vertex, class -> X-mask
         xy = [  # X-vertex, Y-vertex -> class mask

@@ -327,13 +327,13 @@ def _campaign_construction(config: ExperimentConfig):
         yield {"trial": trial, "n": n, "k": k}, values, ok, family
 
 
-def _campaign_theorem_sample(config: ExperimentConfig):
-    """Random families meeting the spectral bound, taking the (n, k) points
-    of the config's grid in turn: supergraphs of extremal copies, and every
-    fifth trial the all-identical extremal family as the known exception."""
+def _theorem_sample_families(config: ExperimentConfig):
+    """(trial, identical, family) for each trial of theorem-sample, taking
+    the (n, k) points of the config's grid in turn: supergraphs of extremal
+    copies, and every fifth trial the all-identical extremal family as the
+    known exception."""
     rng = make_rng(config.seed)
     for trial, n, k in _grid_trials(config):
-        rho_min = quotient_spectral_radius(ExtremalParams(n, k)).value
         identical = trial % 5 == 0
         if identical:
             members = tuple(build_extremal(n, k) for _ in range(k * n))
@@ -341,7 +341,15 @@ def _campaign_theorem_sample(config: ExperimentConfig):
             spec = random_deficiency_spec(n, k, rng)
             base = generate_extremal_variant_family(n, k, spec)
             members = tuple(_grow(g, 0.2, rng) for g in base.members)
-        family = GraphFamily(n, k, members)
+        yield trial, identical, GraphFamily(n, k, members)
+
+
+def _campaign_theorem_sample(config: ExperimentConfig):
+    """Random families meeting the spectral bound (``_theorem_sample_families``),
+    each searched for a rainbow factor."""
+    for trial, identical, family in _theorem_sample_families(config):
+        n, k, members = family.n, family.k, family.members
+        rho_min = quotient_spectral_radius(ExtremalParams(n, k)).value
         certified = all(spectral_radius(g).value >= rho_min - 1e-9 for g in members)
         result = rainbow_k_factor_search(family, budget=config.search_budget)
         expected = ABSENT if identical else FOUND

@@ -18,6 +18,7 @@ from rfl.factors import (
     _image,
     _MatchingSchedule,
     _Symmetry,
+    _vertex_children,
 )
 from rfl.graphs import (
     BipartiteGraph,
@@ -30,6 +31,7 @@ from rfl.graphs import (
     labeled_extremal_copy,
 )
 from rfl.flow import _augment, degree_constrained_subgraph, k_factor_exists
+from rfl.harness import ExperimentConfig, _theorem_sample_families
 from rfl.lattice import lattice_witness
 from rfl.spectral import quotient_spectral_radius
 from tests.conftest import random_graph
@@ -240,6 +242,22 @@ class TestRainbowSearch:
             if result.status == FOUND:
                 result.factor(n, k).validate(family)
 
+    def test_vertex_children_are_the_filtered_combinations(self, rng):
+        # the reference: every d-subset of the options in combinations order,
+        # kept when its edges are distinct and no class is used too often
+        for _ in range(300):
+            classes = int(rng.integers(1, 5))
+            options = [(c, 0, y) for y in range(5) for c in range(classes) if rng.random() < 0.5]
+            need = [int(v) for v in rng.integers(0, 3, size=classes)]
+            d = int(rng.integers(1, 4))
+            expected = [
+                combo
+                for combo in itertools.combinations(options, d)
+                if len({y for _c, _x, y in combo}) == d
+                and all([c for c, _x, _y in combo].count(c) <= need[c] for c in range(classes))
+            ]
+            assert list(_vertex_children(options, d, need)) == expected
+
     def test_rejects_wrong_family_size(self):
         with pytest.raises(GraphError):
             rainbow_perfect_matching_search([BipartiteGraph.complete(3)] * 2)
@@ -306,19 +324,55 @@ class TestRainbowSearchAgainstOracle:
         assert oracle_rainbow_factor_exists(one_odd_family(4, 2))
 
 
-# Nodes the one-odd searches took before orbit pruning; they must not rise.
-ONE_ODD_NODES = {(6, 2): 11, (7, 2): 11, (8, 2): 14, (6, 3): 13}
+# Nodes the one-odd searches take with the degree flow at every node, on the
+# family and on its transpose (11/11/14/13 and 10/13/13/11 with the flow at
+# the root only); they must not rise.
+ONE_ODD_NODES = {(6, 2): 7, (7, 2): 10, (8, 2): 9, (6, 3): 7}
+ONE_ODD_TRANSPOSED_NODES = {(6, 2): 7, (7, 2): 9, (8, 2): 9, (6, 3): 7}
 
 
 class TestAdversarialFamilies:
-    @pytest.mark.parametrize("n, k", [(6, 2), (7, 2), (8, 2), (6, 3)])
-    def test_one_odd_family_found_within_small_budget(self, n, k):
+    @pytest.mark.parametrize(
+        "n, k, transposed",
+        [
+            pytest.param(n, k, transposed, id=f"{n}-{k}" + ("-transposed" if transposed else ""))
+            for transposed in (False, True)
+            for n, k in ONE_ODD_NODES
+        ],
+    )
+    def test_one_odd_family_found_within_small_budget(self, n, k, transposed):
         family = one_odd_family(n, k)
+        bound = ONE_ODD_NODES[n, k]
+        if transposed:
+            family = GraphFamily(n, k, tuple(g.transposed() for g in family.members))
+            bound = ONE_ODD_TRANSPOSED_NODES[n, k]
         result = rainbow_k_factor_search(family, budget=10_000)
         assert result.status == FOUND
-        assert result.nodes_visited <= ONE_ODD_NODES[n, k]
+        assert result.nodes_visited <= bound
         result.factor(n, k).validate(family)
-        construct_rainbow_factor_extremal(family).validate(family)
+        if not transposed:
+            construct_rainbow_factor_extremal(family).validate(family)
+
+    def test_theorem_sample_trial_8_found_within_1000_nodes(self):
+        # trial 8 of theorem-sample at seed 0, a grown family of extremal
+        # copies at (8, 4) with a factor: more than 2,000,000 nodes with the
+        # flow at the root only
+        trial, identical, family = next(
+            case for case in _theorem_sample_families(ExperimentConfig(seed=0)) if case[0] == 8
+        )
+        assert (family.n, family.k, identical) == (8, 4, False)
+        result = rainbow_k_factor_search(family, budget=1_000)
+        assert result.status == FOUND
+        result.factor(8, 4).validate(family)
+
+    def test_flow_cuts_the_identical_extremal_family_at_the_root(self):
+        # B_{n,k} has no k-factor, so the free edges at the root cannot meet
+        # the deficits
+        for n, k in [(4, 2), (6, 3), (8, 4)]:
+            family = GraphFamily(n, k, (build_extremal(n, k),) * (k * n))
+            result = rainbow_k_factor_search(family)
+            assert result.status == ABSENT
+            assert result.nodes_visited == result.flow_cuts == 1
 
     @pytest.mark.parametrize("n", [6, 7, 8, 9, 10, 11])
     def test_cyclic_latin_square_has_transversal_iff_odd(self, n):
@@ -355,6 +409,11 @@ class TestAdversarialFamilies:
         short = rainbow_perfect_matching_search(members, budget=1_000)
         assert short.status == BUDGET_EXHAUSTED and short.assignment is None
 
+    def test_flow_cuts_below_the_root(self):
+        result = rainbow_perfect_matching_search(cyclic_latin(10, [(4, 8, 7)]))
+        assert result.status == ABSENT
+        assert 0 < result.flow_cuts < result.nodes_visited
+
     def test_counters_repeat_exactly(self):
         runs = [rainbow_perfect_matching_search(cyclic_latin(8, [(0, 6, 0)])) for _ in range(2)]
         assert runs[0] == runs[1]
@@ -371,6 +430,14 @@ class TestLatticeCertificate:
         result = rainbow_perfect_matching_search(members, budget=n)
         assert result.status == ABSENT and result.orbit_skips == result.automorphisms == 0
         assert check_lattice_witness(GraphFamily(n, 1, tuple(members)), result.witness)
+
+    def test_spent_budget_still_asks_the_certificate(self):
+        # the budget runs out at the root's first child, before any child
+        # fails: the certificate decides the family all the same
+        members = cyclic_latin(16)
+        result = rainbow_perfect_matching_search(members, budget=1)
+        assert result.status == ABSENT and result.nodes_visited <= 2
+        assert check_lattice_witness(GraphFamily(16, 1, tuple(members)), result.witness)
 
     @pytest.mark.parametrize("n", range(1, 16, 2))
     def test_odd_cyclic_squares_have_no_witness(self, n):
@@ -500,8 +567,7 @@ def family_symmetry(family: GraphFamily) -> _Symmetry:
     """The search's automorphism finder over the family's classes."""
     count = Counter(g.x_rows for g in family.members)
     rows = list(count)
-    cols = [BipartiteGraph(family.n, r).y_cols for r in rows]
-    return _Symmetry(family.n, rows, cols, [count[r] for r in rows])
+    return _Symmetry(family.n, rows, [count[r] for r in rows])
 
 
 class TestOrbitPruning:

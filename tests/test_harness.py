@@ -219,7 +219,10 @@ class TestCampaigns:
         assert points == [(4, 2), (5, 2), (6, 2), (7, 2), (8, 2), (6, 3), (7, 3), (8, 3), (8, 4)]
         assert payload["summary"]["passed"] == report.passed == 9
         assert payload["summary"]["failed"] == 0
-        assert {"nodes", "orbit_skips", "automorphisms", "witness"} <= set(payload["cases"][0]["values"])
+        assert set(payload["cases"][0]["values"]) == {
+            "search_status", "nodes", "orbit_skips", "automorphisms", "flow_cuts", "witness",
+            "k_factor_exists",
+        }
 
     @pytest.mark.parametrize(
         "campaign, name",
@@ -377,7 +380,9 @@ class TestCLI:
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
         search = json.loads(outputs[0].strip().splitlines()[-1])["search"]
-        assert set(search) == {"status", "nodes", "orbit_skips", "automorphisms", "witness"}
+        assert set(search) == {
+            "status", "nodes", "orbit_skips", "automorphisms", "flow_cuts", "witness"
+        }
         return search
 
     def test_find_rainbow_factor_reports_orbit_counters(self, tmp_path, capsys):

@@ -9,9 +9,11 @@ nothing in the repository, so a killed run leaves no worktree behind.  For
 each workload of BENCHMARK.json the script runs --pairs pairs of
 ``python3 bench/run.py`` for the benchmark's run_seconds (one seed a pair,
 counting up from --first-seed), one run in each tree, alternating which
-side runs first; then one traced pair on --traced-seed; and, with
+side runs first; then one traced pair on --traced-seed; with
 --per-call, times spectral_radius on random twin-free graphs with both
-sides loaded into one process.  It writes
+sides loaded into one process; and with --deep-absent, runs the exact
+search on cyclic Latin squares with one edge orbit added, which the
+integer relaxation does not decide, in each tree.  It writes
 BENCH_<label>.json at the root of this checkout in the layout of the
 committed BENCH_*.json files and changes nothing under bench/.
 """
@@ -32,6 +34,17 @@ ROOT = Path(__file__).resolve().parent.parent
 END_TO_END = ("run_s", "setup_s", "peak_rss_mb", "work_count")
 PER_CALL_SIZES = (20, 100, 300, 1000)
 PER_CALL_ROUNDS = 10
+DEEP_ABSENT = ((10, (4, 8, 7)), (12, (4, 8, 7)))  # (order, added edge orbit)
+DEEP_ABSENT_ROUNDS = 3
+DEEP_ABSENT_CODE = (
+    "import json, sys, time; sys.path[:0] = ['src', '.']; "
+    "from rfl.factors import rainbow_perfect_matching_search as search; "
+    "from tests.oracles import cyclic_latin; "
+    "n, orbit = int(sys.argv[1]), tuple(map(int, sys.argv[2:])); "
+    "members = cyclic_latin(n, [orbit]); "
+    "t = time.perf_counter(); r = search(members); t = time.perf_counter() - t; "
+    "print(json.dumps({'status': r.status, 'wall_s': t, **r.summary()}))"
+)
 
 
 def export(commit: str, into: Path) -> Path:
@@ -137,6 +150,30 @@ def per_call_worker(packages: str) -> dict:
     return cases
 
 
+def deep_absent(trees: dict) -> dict:
+    """Status, counters and wall times of the exact search on each
+    DEEP_ABSENT family, in a fresh process in each tree, alternating which
+    side runs first."""
+    cases = {}
+    for n, orbit in DEEP_ABSENT:
+        runs = {"parent": [], "change": []}
+        for i in range(DEEP_ABSENT_ROUNDS):
+            for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+                done = subprocess.run(
+                    [sys.executable, "-c", DEEP_ABSENT_CODE, str(n), *map(str, orbit)],
+                    cwd=trees[side], check=True, capture_output=True, text=True,
+                )
+                runs[side].append(json.loads(done.stdout))
+        row = {"family": f"cyclic Latin square of order {n} with the edge orbit {orbit} added"}
+        for side, results in runs.items():
+            times = [r.pop("wall_s") for r in results]
+            if any(r != results[0] for r in results):
+                raise SystemExit(f"{side} search counters differ between runs: {results}")
+            row[side] = dict(results[0], wall_s=times, wall_s_median=statistics.median(times))
+        cases[f"cyclic{n}+{orbit}"] = row
+    return cases
+
+
 def machine() -> str:
     model = "unknown CPU"
     try:
@@ -162,6 +199,7 @@ def main(argv=None) -> int:
     parser.add_argument("--first-seed", type=int, required=True)
     parser.add_argument("--traced-seed", type=int, required=True)
     parser.add_argument("--per-call", action="store_true", help="add the twin-free table")
+    parser.add_argument("--deep-absent", action="store_true", help="add the deep ABSENT searches")
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in spec["workloads"]]
@@ -205,6 +243,15 @@ def main(argv=None) -> int:
             traced = pair(trees, workload, args.traced_seed, seconds, 1, True)
             traced["note"] = "per-layer metrics, medians over rounds"
             out["traced"].append(dict(workload=workload, **traced))
+        if args.deep_absent:
+            out["deep_absent"] = {
+                "protocol": (
+                    f"rainbow_perfect_matching_search on each family in a fresh process, "
+                    f"{DEEP_ABSENT_ROUNDS} runs a side alternating which side goes first; the "
+                    "status and the summary() counters repeat exactly, wall_s is the search call"
+                ),
+                "cases": deep_absent(trees),
+            }
         if args.per_call:
             packages = Path(tmp) / "packages"
             packages.mkdir()
