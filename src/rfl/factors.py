@@ -1,5 +1,4 @@
-"""Rainbow k-factor search, classical factor existence, and proof-object
-matchings.
+"""Rainbow k-factor search and the shifted-family audit.
 
 The exact searches treat members with equal edge sets as one class, so they
 never re-explore the permutations of identical members, and they branch on
@@ -106,27 +105,6 @@ class RainbowFactor:
 
 
 @dataclass(frozen=True)
-class _MatchingSchedule:
-    """k pairwise edge-disjoint perfect matchings on [2n]."""
-
-    n: int
-    k: int
-    matchings: tuple[tuple[Edge, ...], ...]
-
-    def validate(self) -> None:
-        n = self.n
-        all_edges: set[Edge] = set()
-        for m in self.matchings:
-            xs = sorted(x for x, _ in m)
-            ys = sorted(y for _, y in m)
-            if xs != list(range(1, n + 1)) or ys != list(range(n + 1, 2 * n + 1)):
-                raise GraphError("matching is not perfect on [2n]")
-            all_edges.update(m)
-        if len(all_edges) != self.k * n:
-            raise GraphError("matchings are not pairwise edge-disjoint")
-
-
-@dataclass(frozen=True)
 class SearchResult:
     status: str  # FOUND | ABSENT | BUDGET_EXHAUSTED
     assignment: tuple[tuple[int, Edge], ...] | None
@@ -194,8 +172,8 @@ def rainbow_k_factor_search(family: GraphFamily, budget: int = DEFAULT_BUDGET) -
     one the search would find without pruning.  ``orbit_skips`` counts the
     skipped children and ``automorphisms`` the verified maps; both, like
     ``nodes_visited`` and ``flow_cuts``, repeat exactly from run to run.
-    ``budget`` caps the nodes; running out is reported as BUDGET_EXHAUSTED,
-    never as absence.
+    ``budget`` caps the nodes, so ``nodes_visited`` never exceeds it; running
+    out is reported as BUDGET_EXHAUSTED, never as absence.
 
     When a child first fails, or the budget runs out before one does, the
     search asks once whether the family's integer relaxation (edge weights
@@ -260,9 +238,9 @@ def _search(family: GraphFamily, budget: int) -> SearchResult:
 
     def descend(depth: int) -> bool:
         nonlocal nodes, flow_cuts
-        nodes += 1
-        if nodes > budget:
+        if nodes >= budget:
             raise _Budget
+        nodes += 1
         open_x = [x for x in range(n) if deficit_x[x]]
         if not open_x:
             return True
@@ -413,15 +391,6 @@ def _search(family: GraphFamily, budget: int) -> SearchResult:
     return result(ABSENT, witness=(f, g, tuple(h[index[member.x_rows]] for member in members)))
 
 
-def _columns(n: int, rows: tuple[int, ...]) -> tuple[int, ...]:
-    """The Y-columns of bit rows: bit x of column y <=> bit y of row x."""
-    cols = [0] * n
-    for x, row in enumerate(rows):
-        for y in _bits(row):
-            cols[y] |= 1 << x
-    return tuple(cols)
-
-
 def _vertex_children(options: list, d: int, need: list[int]):
     """The d-subsets of one X-vertex's (class, x, y) options, sorted by y,
     that take distinct edges and no class more often than it still has
@@ -489,7 +458,7 @@ class _Symmetry:
         self.n, self.class_rows, self.count = n, class_rows, count
         self.index = {rows: c for c, rows in enumerate(class_rows)}
         m = len(class_rows)
-        class_cols = [_columns(n, rows) for rows in class_rows]
+        class_cols = [BipartiteGraph(n, rows).y_cols for rows in class_rows]
         xc = [[rows[x] for rows in class_rows] for x in range(n)]  # X-vertex, class -> Y-mask
         yc = [[cols[y] for cols in class_cols] for y in range(n)]  # Y-vertex, class -> X-mask
         xy = [  # X-vertex, Y-vertex -> class mask
@@ -639,29 +608,17 @@ def _incident(structure: tuple, s: int, p: int, s2: int, p2: int) -> tuple[int, 
     return 0, yc[p][p2]
 
 
-def _diagonal_matching_schedule(n: int, k: int) -> _MatchingSchedule:
-    """The k anti-diagonal perfect matchings: matching i pairs X-vertex j
+def _schedule_edges(n: int, k: int) -> tuple[Edge, ...]:
+    """The edges of the k anti-diagonal perfect matchings except the two
+    corners {k, 2n} and {n, n+k} of matching k: matching i pairs X-vertex j
     with n+i-j for j < i and with 2n+i-j for j >= i."""
     if not (1 <= k <= n):
         raise GraphError(f"need 1 <= k <= n, got k = {k}, n = {n}")
-    matchings = []
-    for i in range(1, k + 1):
-        edges = tuple(
-            (j, n + i - j) if j <= i - 1 else (j, 2 * n + i - j) for j in range(1, n + 1)
-        )
-        matchings.append(edges)
-    schedule = _MatchingSchedule(n, k, tuple(matchings))
-    schedule.validate()
-    return schedule
-
-
-def boundary_edges(n: int, k: int) -> dict[int, Edge]:
-    """The edges {j, 2n+k-j} for k <= j <= n, keyed by j.
-
-    j = k and j = n give the two corner edges {k, 2n} and {n, n+k}; the
-    interior range k+1..n-1 is the presence test of the shifted-family audit.
-    """
-    return {j: (j, 2 * n + k - j) for j in range(k, n + 1)}
+    corners = {(k, 2 * n), (n, n + k)}
+    edges = (
+        (j, n + i - j if j < i else 2 * n + i - j) for i in range(1, k + 1) for j in range(1, n + 1)
+    )
+    return tuple(e for e in edges if e not in corners)
 
 
 @dataclass(frozen=True)
@@ -669,16 +626,11 @@ class MemberAudit:
     index: int
     rho: float
     meets_threshold: bool
-    interior_edges_present: bool | None
-    min_degree_ok: bool | None
-    schedule_edges_present: bool | None
-    missing: tuple[Edge, ...]
+    missing: tuple[Edge, ...]  # absent schedule edges, when the threshold is met
 
     @property
     def violated(self) -> bool:
-        return self.meets_threshold and not (
-            self.interior_edges_present and self.min_degree_ok and self.schedule_edges_present
-        )
+        return self.meets_threshold and bool(self.missing)
 
 
 @dataclass(frozen=True)
@@ -694,45 +646,31 @@ class FamilyAuditReport:
 
 
 def audit_shifted_family(family: GraphFamily, rho_threshold: float) -> FamilyAuditReport:
-    """For each bi-shifted member meeting the spectral threshold, check the
-    structural facts a member above the extremal radius must satisfy:
+    """For each bi-shifted member meeting the spectral threshold, list the
+    edges of the k anti-diagonal perfect matchings it lacks, other than the
+    two corner edges {k, 2n} and {n, n+k}; a member above the extremal
+    radius must have them all.
 
-    - the interior boundary edges {j, 2n+k-j}, k+1 <= j <= n-1, are present;
-    - minimum degree at least k-1;
-    - every anti-diagonal schedule edge other than the two corner edges is
-      present (the interior edges are schedule edges too: missing lists
-      each absent edge once).
+    That one check covers the interior boundary edges and the minimum
+    degree.  A bi-shifted member's rows are nested prefixes of Y.  The
+    interior edges {j, 2n+k-j}, k+1 <= j <= n-1, are edges of matching k.
+    Matching i < k joins X-vertex i to 2n, so rows 1..k-1 are full, and
+    matching k-1 joins n to n+k-1, so row n has length at least k-1.  Nested rows
+    then give every X-vertex degree at least k-1, and the k-1 full rows give
+    every Y-vertex as much: the minimum degree is at least k-1.
 
     Members within 1e-9 of the threshold count as meeting it: the reported
     radius is the lower end of a certified bracket and never overshoots the
     true radius, so a member exactly at the threshold may read just below.
     """
     n, k = family.n, family.k
-    corner = {(k, 2 * n), (n, n + k)}
-    interior = [e for j, e in boundary_edges(n, k).items() if k + 1 <= j <= n - 1]
-    schedule = _diagonal_matching_schedule(n, k)
-    schedule_edges = [e for m in schedule.matchings for e in m if e not in corner]
+    schedule = _schedule_edges(n, k)
     audits = []
     for idx, g in enumerate(family.members, start=1):
         if not is_bi_shifted(g):
             raise GraphError(f"member {idx} is not bi-shifted")
         rho = spectral_radius(g).value
         meets = rho >= rho_threshold - 1e-9
-        if not meets:
-            audits.append(MemberAudit(idx, rho, False, None, None, None, ()))
-            continue
-        missing_interior = tuple(e for e in interior if not g.has_edge(*e))
-        missing_schedule = tuple(e for e in schedule_edges if not g.has_edge(*e))
-        audits.append(
-            MemberAudit(
-                index=idx,
-                rho=rho,
-                meets_threshold=True,
-                interior_edges_present=not missing_interior,
-                min_degree_ok=g.min_degree() >= k - 1,
-                schedule_edges_present=not missing_schedule,
-                missing=missing_interior + tuple(e for e in missing_schedule if e not in interior),
-            )
-        )
+        missing = tuple(e for e in schedule if not g.has_edge(*e)) if meets else ()
+        audits.append(MemberAudit(idx, rho, meets, missing))
     return FamilyAuditReport(n, k, rho_threshold, tuple(audits))
-

@@ -9,8 +9,10 @@ compose the extremal and join graphs the library writes row by row, the
 extremal signature by degrees and comparison with a built copy,
 isomorphism to the extremal graph by canonical relabeling, the
 deletion of one vertex's edges, the cyclic Latin squares with or without
-added edge orbits, and the check, in Fractions, of a lattice witness that a
-family has no rainbow factor."""
+added edge orbits, the check, in Fractions, of a lattice witness that a
+family has no rainbow factor, and the k anti-diagonal perfect matchings
+with their validator, and the shifted-family audit as three separate
+checks."""
 
 from collections import Counter, deque
 from dataclasses import dataclass
@@ -25,10 +27,12 @@ from rfl.graphs import (
     Edge,
     ExtremalParams,
     GraphError,
+    GraphFamily,
     build_extremal,
     labeled_extremal_copy,
 )
-from rfl.spectral import biquadratic_coeffs
+from rfl.shifting import is_bi_shifted
+from rfl.spectral import biquadratic_coeffs, spectral_radius
 
 
 def brute_force_k_factor_exists(g: BipartiteGraph, k: int) -> bool:
@@ -354,3 +358,90 @@ def is_extremal_isomorphic(g: BipartiteGraph, n: int, k: int) -> bool:
     for target, v in enumerate(rest_y, start=n + 1):
         perm[v] = target
     return g.relabeled(perm) == build_extremal(n, k)
+
+
+def validate_matching_schedule(n: int, k: int, matchings) -> None:
+    """Oracle: raise GraphError unless ``matchings`` are k pairwise
+    edge-disjoint perfect matchings on [2n]."""
+    all_edges: set[Edge] = set()
+    for m in matchings:
+        xs = sorted(x for x, _ in m)
+        ys = sorted(y for _, y in m)
+        if xs != list(range(1, n + 1)) or ys != list(range(n + 1, 2 * n + 1)):
+            raise GraphError("matching is not perfect on [2n]")
+        all_edges.update(m)
+    if len(matchings) != k or len(all_edges) != k * n:
+        raise GraphError("matchings are not k pairwise edge-disjoint ones")
+
+
+def diagonal_matching_schedule(n: int, k: int) -> tuple[tuple[Edge, ...], ...]:
+    """Oracle: the k anti-diagonal perfect matchings, validated.  Matching i
+    pairs X-vertex j with n+i-j for j < i and with 2n+i-j for j >= i; its
+    matching k holds the two corner edges {k, 2n} and {n, n+k}."""
+    if not (1 <= k <= n):
+        raise GraphError(f"need 1 <= k <= n, got k = {k}, n = {n}")
+    matchings = tuple(
+        tuple((j, n + i - j) if j <= i - 1 else (j, 2 * n + i - j) for j in range(1, n + 1))
+        for i in range(1, k + 1)
+    )
+    validate_matching_schedule(n, k, matchings)
+    return matchings
+
+
+@dataclass(frozen=True)
+class ThreeCheckAudit:
+    """One member's verdict under the three-check audit."""
+
+    index: int
+    rho: float
+    meets_threshold: bool
+    interior_edges_present: bool | None
+    min_degree_ok: bool | None
+    schedule_edges_present: bool | None
+    missing: tuple[Edge, ...]
+
+    @property
+    def violated(self) -> bool:
+        return self.meets_threshold and not (
+            self.interior_edges_present and self.min_degree_ok and self.schedule_edges_present
+        )
+
+
+def three_check_audit(family: GraphFamily, rho_threshold: float) -> tuple[ThreeCheckAudit, ...]:
+    """Oracle: the shifted-family audit as three separate checks on each
+    bi-shifted member meeting the threshold (within 1e-9): the interior
+    boundary edges {j, 2n+k-j}, k+1 <= j <= n-1, are present; the minimum
+    degree, counted edge by edge, is at least k-1; and every schedule edge
+    other than the corners {k, 2n} and {n, n+k} is present.  ``missing``
+    lists the absent interior edges first, then the other absent schedule
+    edges, each once."""
+    n, k = family.n, family.k
+    corners = {(k, 2 * n), (n, n + k)}
+    interior = [(j, 2 * n + k - j) for j in range(k + 1, n)]
+    schedule = [e for m in diagonal_matching_schedule(n, k) for e in m if e not in corners]
+    audits = []
+    for idx, g in enumerate(family.members, start=1):
+        if not is_bi_shifted(g):
+            raise GraphError(f"member {idx} is not bi-shifted")
+        rho = spectral_radius(g).value
+        if rho < rho_threshold - 1e-9:
+            audits.append(ThreeCheckAudit(idx, rho, False, None, None, None, ()))
+            continue
+        degree = [0] * (2 * n + 1)
+        for x, y in g.edges():
+            degree[x] += 1
+            degree[y] += 1
+        missing_interior = tuple(e for e in interior if not g.has_edge(*e))
+        missing_schedule = tuple(e for e in schedule if not g.has_edge(*e))
+        audits.append(
+            ThreeCheckAudit(
+                idx,
+                rho,
+                True,
+                not missing_interior,
+                min(degree[1:]) >= k - 1,
+                not missing_schedule,
+                missing_interior + tuple(e for e in missing_schedule if e not in interior),
+            )
+        )
+    return tuple(audits)

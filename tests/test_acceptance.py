@@ -2,7 +2,7 @@
 
 Criteria 1-5 and 8 each run one campaign of `rfl.harness` with a pinned
 config and check its report; criteria 6 and 7, which no campaign covers,
-check the matching schedules and the flow and search oracles directly.
+check the audit's schedule edges and the flow and search oracles directly.
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines and timings.
 """
@@ -14,14 +14,18 @@ import time
 from rfl.factors import (
     DEFAULT_BUDGET,
     FOUND,
-    _diagonal_matching_schedule,
+    _schedule_edges,
     rainbow_perfect_matching_search,
 )
 from rfl.flow import k_factor_exists
 from rfl.graphs import BipartiteGraph
 from rfl.harness import ExperimentConfig, make_rng, run_campaign
 from tests.conftest import random_graph
-from tests.oracles import brute_force_k_factor_exists, brute_force_rainbow_matching
+from tests.oracles import (
+    brute_force_k_factor_exists,
+    brute_force_rainbow_matching,
+    diagonal_matching_schedule,
+)
 
 
 def report(number: int, name: str, ok: bool, elapsed: float, budget: float, detail: str = ""):
@@ -121,24 +125,20 @@ def test_criterion_6_matching_schedules():
     started = time.perf_counter()
     ok = True
     for n in range(2, 13):
-        for k in range(1, n // 2 + 1):
-            schedule = _diagonal_matching_schedule(n, k)
-            try:
-                schedule.validate()
-            except Exception:
-                ok = False
-                continue
-            complete = BipartiteGraph.complete(n)
+        complete = BipartiteGraph.complete(n)
+        for k in range(1, n + 1):
+            # the audit's schedule edges with the two corners it leaves out
+            edges = [*_schedule_edges(n, k), *dict.fromkeys([(k, 2 * n), (n, n + k)])]
+            ok &= len(edges) == len(set(edges)) == k * n
             degree = {v: 0 for v in range(1, 2 * n + 1)}
-            for m in schedule.matchings:
-                for x, y in m:
-                    if not complete.has_edge(x, y):
-                        ok = False
-                    degree[x] += 1
-                    degree[y] += 1
+            for x, y in edges:
+                ok &= complete.has_edge(x, y)
+                degree[x] += 1
+                degree[y] += 1
             ok &= all(d == k for d in degree.values())
+            ok &= set(edges) == {e for m in diagonal_matching_schedule(n, k) for e in m}
     elapsed = time.perf_counter() - started
-    report(6, "matching schedules", ok, elapsed, 1.0, "n <= 12, k <= n/2")
+    report(6, "matching schedules", ok, elapsed, 1.0, "n <= 12, k <= n")
 
 
 def test_criterion_7_oracle_equivalence():

@@ -14,9 +14,8 @@ from rfl.factors import (
     audit_shifted_family,
     rainbow_k_factor_search,
     rainbow_perfect_matching_search,
-    _diagonal_matching_schedule,
     _image,
-    _MatchingSchedule,
+    _schedule_edges,
     _Symmetry,
     _vertex_children,
 )
@@ -41,7 +40,10 @@ from tests.oracles import (
     brute_force_rainbow_matching,
     check_lattice_witness,
     cyclic_latin,
+    diagonal_matching_schedule,
     exact_degree_exists,
+    three_check_audit,
+    validate_matching_schedule,
 )
 
 
@@ -228,6 +230,7 @@ class TestRainbowSearch:
         result = rainbow_k_factor_search(family, budget=2)
         assert result.status == BUDGET_EXHAUSTED
         assert result.assignment is None
+        assert result.nodes_visited == 2  # the budget, not one more
 
     def test_found_factor_always_validates(self, rng):
         for _ in range(20):
@@ -436,7 +439,7 @@ class TestLatticeCertificate:
         # fails: the certificate decides the family all the same
         members = cyclic_latin(16)
         result = rainbow_perfect_matching_search(members, budget=1)
-        assert result.status == ABSENT and result.nodes_visited <= 2
+        assert result.status == ABSENT and result.nodes_visited == 1
         assert check_lattice_witness(GraphFamily(16, 1, tuple(members)), result.witness)
 
     @pytest.mark.parametrize("n", range(1, 16, 2))
@@ -691,54 +694,65 @@ class TestRainbowPerfectMatching:
             assert (result.status == FOUND) == (brute is not None)
 
 
+def _schedule_with_corners(n: int, k: int) -> list:
+    """The audit's schedule edges followed by the two corner edges {k, 2n}
+    and {n, n+k} it leaves out (one edge when k = n)."""
+    return [*_schedule_edges(n, k), *dict.fromkeys([(k, 2 * n), (n, n + k)])]
+
+
 class TestDiagonalMatchings:
+    """The audit's ``_schedule_edges`` with its two corners against the
+    reference matchings of ``tests.oracles``."""
+
     def test_4_2_frozen(self):
-        sched = _diagonal_matching_schedule(4, 2)
-        assert sched.matchings[0] == ((1, 8), (2, 7), (3, 6), (4, 5))
-        assert sched.matchings[1] == ((1, 5), (2, 8), (3, 7), (4, 6))
+        sched = diagonal_matching_schedule(4, 2)
+        assert sched[0] == ((1, 8), (2, 7), (3, 6), (4, 5))
+        assert sched[1] == ((1, 5), (2, 8), (3, 7), (4, 6))
+        assert _schedule_edges(4, 2) == ((1, 8), (2, 7), (3, 6), (4, 5), (1, 5), (3, 7))
 
     def test_single_matching_is_antidiagonal(self):
         for n in (2, 5, 9):
-            sched = _diagonal_matching_schedule(n, 1)
-            assert sched.matchings[0] == tuple((j, 2 * n + 1 - j) for j in range(1, n + 1))
+            antidiagonal = tuple((j, 2 * n + 1 - j) for j in range(1, n + 1))
+            assert diagonal_matching_schedule(n, 1)[0] == antidiagonal
+            assert _schedule_edges(n, 1) == antidiagonal[1:-1]
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_invariants_up_to_n_12(self, n):
-        for k in range(1, n // 2 + 1):
-            sched = _diagonal_matching_schedule(n, k)
-            sched.validate()
-            union = {e for m in sched.matchings for e in m}
-            assert len(union) == k * n
+        for k in range(1, n + 1):
+            edges = _schedule_with_corners(n, k)
+            assert len(edges) == len(set(edges)) == k * n
+            degree = Counter(v for e in edges for v in e)
+            assert sorted(degree) == list(range(1, 2 * n + 1))
+            assert set(degree.values()) == {k}
+            assert set(edges) == {e for m in diagonal_matching_schedule(n, k) for e in m}
 
     def test_union_is_k_factor_of_complete_graph(self):
         for n, k in [(6, 3), (8, 4), (12, 6)]:
-            sched = _diagonal_matching_schedule(n, k)
             complete = BipartiteGraph.complete(n)
             degree = {v: 0 for v in range(1, 2 * n + 1)}
-            for m in sched.matchings:
-                for x, y in m:
-                    assert complete.has_edge(x, y)
-                    degree[x] += 1
-                    degree[y] += 1
+            for x, y in _schedule_with_corners(n, k):
+                assert complete.has_edge(x, y)
+                degree[x] += 1
+                degree[y] += 1
             assert all(d == k for d in degree.values())
 
     def test_corner_edges_present(self):
-        # matching k holds both corner edges {k, 2n} and {n, n+k}
+        # matching k holds both corner edges {k, 2n} and {n, n+k}, and the
+        # audit's schedule edges leave both out
         for n, k in [(4, 2), (8, 3), (12, 5)]:
-            m = _diagonal_matching_schedule(n, k).matchings[k - 1]
-            assert (k, 2 * n) in m
-            assert (n, n + k) in m
+            m = diagonal_matching_schedule(n, k)[k - 1]
+            assert (k, 2 * n) in m and (k, 2 * n) not in _schedule_edges(n, k)
+            assert (n, n + k) in m and (n, n + k) not in _schedule_edges(n, k)
 
     def test_rejects_k_above_n(self):
         with pytest.raises(GraphError):
-            _diagonal_matching_schedule(3, 4)
+            _schedule_edges(3, 4)
+        with pytest.raises(GraphError):
+            diagonal_matching_schedule(3, 4)
 
     def test_schedule_validation_catches_overlap(self):
-        bad = _MatchingSchedule(
-            2, 2, (((1, 3), (2, 4)), ((1, 3), (2, 4)))
-        )
         with pytest.raises(GraphError):
-            bad.validate()
+            validate_matching_schedule(2, 2, (((1, 3), (2, 4)), ((1, 3), (2, 4))))
 
 
 class TestShiftedFamilyAudit:
@@ -766,18 +780,43 @@ class TestShiftedFamilyAudit:
         assert all(m.meets_threshold for m in report.members)
 
     def test_missing_interior_edge_listed_once(self):
-        # the interior edge {3, 11} is also a schedule edge of matching k:
-        # it is listed once, and both presence flags still report it.  The
-        # Ferrers graph lies below the extremal radius, so threshold 0
-        # audits it
+        # the interior edge {3, 11} is an edge of matching k, the one schedule
+        # edge this member lacks: it is listed once.  The Ferrers graph lies
+        # below the extremal radius, so threshold 0 audits it
         n, k = 6, 2
         g = BipartiteGraph(n, tuple((1 << r) - 1 for r in (6, 6, 4, 4, 4, 3)))
         (member, *_rest) = audit_shifted_family(GraphFamily(n, k, (g,) * (k * n)), 0.0).members
-        assert member.meets_threshold and member.min_degree_ok
+        assert member.meets_threshold
         assert member.missing == ((3, 11),)
-        assert member.interior_edges_present is False
-        assert member.schedule_edges_present is False
         assert member.violated
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_three_check_oracle_on_every_ferrers_shape(self, n):
+        # every bi-shifted graph at half-order n (row lengths non-increasing),
+        # at every k, audited in families of kn shapes against the audit that
+        # also checked the interior edges and the minimum degree apart
+        shapes = [
+            BipartiteGraph(n, tuple((1 << r) - 1 for r in reversed(lengths)))
+            for lengths in itertools.combinations_with_replacement(range(n + 1), n)
+        ]
+        for k in range(1, n + 1):
+            thresholds = [0.0]
+            if n >= 2 * k >= 4:
+                thresholds.append(quotient_spectral_radius(ExtremalParams(n, k)).value)
+            size = k * n
+            for start in range(0, len(shapes), size):
+                members = tuple(shapes[(start + i) % len(shapes)] for i in range(size))
+                family = GraphFamily(n, k, members)
+                for threshold in thresholds:
+                    got = audit_shifted_family(family, threshold).members
+                    want = three_check_audit(family, threshold)
+                    assert [
+                        (m.index, m.rho, m.meets_threshold, sorted(m.missing), m.violated)
+                        for m in got
+                    ] == [
+                        (m.index, m.rho, m.meets_threshold, sorted(m.missing), m.violated)
+                        for m in want
+                    ]
 
     def test_rejects_non_bi_shifted_member(self):
         g = BipartiteGraph.from_edges(4, [(2, 6)])
