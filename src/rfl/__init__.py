@@ -37,7 +37,6 @@ from .spectral import (
     SpectralMargin,
     SpectralReport,
     biquadratic_coeffs,
-    bracket_contains,
     join_margin,
     spectral_radius,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "audit_shifted_family",
     "bi_shift_fixpoint",
     "biquadratic_coeffs",
-    "bracket_contains",
     "build_extremal",
     "build_join",
     "construct_rainbow_factor_extremal",

@@ -659,9 +659,9 @@ def audit_shifted_family(family: GraphFamily, rho_threshold: float) -> FamilyAud
     then give every X-vertex degree at least k-1, and the k-1 full rows give
     every Y-vertex as much: the minimum degree is at least k-1.
 
-    Members within 1e-9 of the threshold count as meeting it: the reported
-    radius is the lower end of a certified bracket and never overshoots the
-    true radius, so a member exactly at the threshold may read just below.
+    A member meets the threshold when the upper end of its radius bracket
+    reaches it, so one exactly at the threshold meets it; ``rho`` is the
+    bracket's lower end.
     """
     n, k = family.n, family.k
     schedule = _schedule_edges(n, k)
@@ -669,8 +669,8 @@ def audit_shifted_family(family: GraphFamily, rho_threshold: float) -> FamilyAud
     for idx, g in enumerate(family.members, start=1):
         if not is_bi_shifted(g):
             raise GraphError(f"member {idx} is not bi-shifted")
-        rho = spectral_radius(g).value
-        meets = rho >= rho_threshold - 1e-9
+        report = spectral_radius(g)
+        meets = report.value + report.residual >= rho_threshold
         missing = tuple(e for e in schedule if not g.has_edge(*e)) if meets else ()
-        audits.append(MemberAudit(idx, rho, meets, missing))
+        audits.append(MemberAudit(idx, report.value, meets, missing))
     return FamilyAuditReport(n, k, rho_threshold, tuple(audits))

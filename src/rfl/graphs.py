@@ -106,9 +106,6 @@ class BipartiteGraph:
             return tuple(i + 1 for i in _bits(self.y_cols[v - self.n - 1]))
         raise GraphError(f"vertex {v} out of range 1..{2 * self.n}")
 
-    def min_degree(self) -> int:
-        return min(self.degree(v) for v in range(1, 2 * self.n + 1))
-
     def with_edge(self, x: int, y: int) -> "BipartiteGraph":
         if not (1 <= x <= self.n < y <= 2 * self.n):
             raise GraphError(f"edge ({x},{y}) out of range")

@@ -33,7 +33,6 @@ from .shifting import bi_shift_fixpoint, is_bi_shifted, xy_shift
 from .spectral import (
     ConvergenceError,
     InconsistencyError,
-    bracket_contains,
     join_margin,
     quotient_spectral_radius,
     spectral_radius,
@@ -227,15 +226,16 @@ def _grow(g: BipartiteGraph, prob: float, rng: np.random.Generator) -> Bipartite
 def _campaign_spectral_consistency(config: ExperimentConfig):
     for n, k in _grid(config):
         g = build_extremal(n, k)
-        closed = quotient_spectral_radius(ExtremalParams(n, k)).value
+        closed = quotient_spectral_radius(ExtremalParams(n, k))
         power = spectral_radius(g)
         values = {
-            "rho_closed": closed,
+            "rho_closed": closed.value,
             "rho_power": power.value,
             "residual": power.residual,
-            "diff": abs(closed - power.value),
+            "diff": abs(closed.value - power.value),
         }
-        yield {"n": n, "k": k}, values, bracket_contains(power, closed, n), g
+        hi_power, hi_closed = power.value + power.residual, closed.value + closed.residual
+        yield {"n": n, "k": k}, values, power.value <= hi_closed and closed.value <= hi_power, g
 
 
 def _campaign_margin_grid(config: ExperimentConfig):
@@ -275,9 +275,9 @@ def _campaign_shift_properties(config: ExperimentConfig):
                 continue
             if shifted == g:
                 continue
-            rho_s = spectral_radius(shifted).value
-            if rho_s < rho_g - 1e-9:
-                violations.append(f"rho dropped by {rho_g - rho_s:.3e} under shift ({x},{y})")
+            rho_s = spectral_radius(shifted)
+            if rho_s.value + rho_s.residual < rho_g:  # the brackets are apart
+                violations.append(f"rho dropped by {rho_g - rho_s.value:.3e} under shift ({x},{y})")
         fixpoint, _trace = bi_shift_fixpoint(g)
         if not is_bi_shifted(fixpoint):
             violations.append("fixpoint is not bi-shifted")
@@ -346,11 +346,12 @@ def _theorem_sample_families(config: ExperimentConfig):
 
 def _campaign_theorem_sample(config: ExperimentConfig):
     """Random families meeting the spectral bound (``_theorem_sample_families``),
-    each searched for a rainbow factor."""
+    each searched for a rainbow factor.  A family is certified when no
+    member's radius bracket lies wholly below the extremal radius."""
     for trial, identical, family in _theorem_sample_families(config):
         n, k, members = family.n, family.k, family.members
         rho_min = quotient_spectral_radius(ExtremalParams(n, k)).value
-        certified = all(spectral_radius(g).value >= rho_min - 1e-9 for g in members)
+        certified = all(r.value + r.residual >= rho_min for r in map(spectral_radius, members))
         result = rainbow_k_factor_search(family, budget=config.search_budget)
         expected = ABSENT if identical else FOUND
         values = {

@@ -6,11 +6,12 @@ symmetric about 0, and rho(G)^2 = rho(B^T B), whose blocks (one per
 connected component) are primitive.  Each block stops on a certified
 bracket, the Rayleigh quotient below and the Collatz-Wielandt bound above;
 the bracket holds for any positive start, so the start changes the cost,
-never the guarantee.  A block small enough for a dense eigensolver starts
-from its Perron vector and usually closes on the first product; a larger
-one starts from all-ones and is never formed, each product applied through
-B as B^T (B v) (Golub and Van Loan, Matrix Computations, secs. 8.6 and
-10.4).
+never the guarantee; its float ends are rounded outward by their a-priori
+error bound, so every report's bracket holds rho and callers need no slack.
+A block small enough for a dense eigensolver starts from its Perron vector
+and usually closes on the first product; a larger one starts from all-ones
+and is never formed, each product applied through B as B^T (B v) (Golub and
+Van Loan, Matrix Computations, secs. 8.6 and 10.4).
 
 On graphs with more than _DENSE_START_MAX X-vertices both sides are
 quotiented by their twins, vertices with equal neighbourhoods, which form
@@ -49,8 +50,9 @@ from .graphs import (
     build_join,
 )
 
-# The width below which an iterating block's certified bracket must close,
-# and the cap on products per call; spectral_radius reads both when called.
+# The width below which an iterating block's computed bracket must close,
+# before its ends are rounded outward, and the cap on products per call;
+# spectral_radius reads both when called.
 DEFAULT_TOL = 1e-10
 MAX_ITERATIONS = 100_000
 
@@ -87,10 +89,12 @@ class InconsistencyError(RuntimeError):
 
 @dataclass(frozen=True)
 class SpectralReport:
+    """value <= rho <= value + residual, exactly, with the sum in float64."""
+
     value: float
     method: str  # power-iteration | quotient-closed-form
     iterations: int
-    residual: float  # rho lies in [value, value + residual]
+    residual: float
 
 
 def spectral_radius(g: BipartiteGraph) -> SpectralReport:
@@ -104,7 +108,8 @@ def spectral_radius(g: BipartiteGraph) -> SpectralReport:
     symmetric) and max_i w_i / v_i an upper bound (Collatz-Wielandt), so the
     start decides only how many products a block takes; a block stops once
     the square roots of the two bounds differ by less than DEFAULT_TOL.  The
-    bracket holds whatever the tolerance, which sets only its width.  A
+    bracket holds whatever the tolerance, which sets only its width, and its
+    float ends are rounded outward by their a-priori error bound.  A
     block of one Y-vertex is a star with rho = sqrt(its degree d), bracketed
     as the largest root of x^4 - d x^2 by _certified_root.
 
@@ -136,12 +141,11 @@ def spectral_radius(g: BipartiteGraph) -> SpectralReport:
     rows, starts from all-ones and never forms its Gram matrix: one product
     is ((Bb v) * m_x) Bb, two d x s matrix-vector products.
 
-    Reports value = the largest certified lower end over the blocks (a
-    power-iteration end overshoots rho only by float64 rounding; see
-    bracket_contains), residual = the distance from it to the largest
-    upper end, iterations = the products v -> w over all blocks, and method
-    "quotient-closed-form" when no block took a product, else
-    "power-iteration".
+    Reports value = the largest lower end over the blocks, residual = the
+    distance from it to the largest upper end, rounded up if value +
+    residual would fall below it, iterations = the products v -> w over all
+    blocks, and method "quotient-closed-form" when no block took a product,
+    else "power-iteration".
     Raises ConvergenceError once MAX_ITERATIONS products have not closed
     every bracket.
     """
@@ -216,11 +220,23 @@ def spectral_radius(g: BipartiteGraph) -> SpectralReport:
                 f"no convergence to tol={DEFAULT_TOL} within {MAX_ITERATIONS} iterations "
                 f"(last bracket width {gap:.3e})"
             )
-        lo, hi = max(lo, root_lo), max(hi, root_hi)
+        # Outward rounding by the a-priori bound for sums of nonnegative terms
+        # (Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.1):
+        # a value formed through m roundings, each a factor (1 + d)^(+-1) with
+        # |d| <= u = 2^-53, is its exact value times 1 + t, |t| <= gamma_m =
+        # m u / (1 - m u) <= 2 m u.  An entry of w takes `terms` roundings: a
+        # Gram or quotient row's len(v) terms, or the size terms of Bb v, the
+        # weight and the len(rows) terms of the product with Bb.  The upper
+        # end adds w_i / v_i, the square root and the widening; the lower end
+        # adds m_y * v and len(v) terms in each of its two dot products, their
+        # quotient, the square root and the widening.  So m = terms +
+        # 2 len(v) + 5 bounds both, and 1 -+ 2 m u are exact floats.
+        terms = len(v) if gram is not None else size + len(rows) + 1
+        widen = (terms + 2 * len(v) + 5) * 2.0**-52
+        lo, hi = max(lo, root_lo * (1 - widen)), max(hi, root_hi * (1 + widen))
     method = "power-iteration" if iterations else "quotient-closed-form"
-    return SpectralReport(
-        value=lo, method=method, iterations=iterations, residual=max(hi - lo, 0.0)
-    )
+    residual = hi - lo if lo + (hi - lo) >= hi else math.nextafter(hi - lo, math.inf)
+    return SpectralReport(value=lo, method=method, iterations=iterations, residual=residual)
 
 
 def _row_counts(rows: tuple[int, ...]) -> dict[int, int]:
@@ -498,22 +514,6 @@ def quotient_spectral_radius(params: ExtremalParams) -> SpectralReport:
     """
     value, upper = _certified_root(*biquadratic_coeffs(params.n, params.k, params.p))
     return SpectralReport(value, "quotient-closed-form", 0, upper - value)
-
-
-def bracket_contains(report: SpectralReport, rho: float, n: int) -> bool:
-    """Whether rho lies in the certified bracket [value, value + residual]
-    of a power-iteration report on a graph of half-order n.
-
-    The bracket's ends are float64 evaluations of sums of up to n terms, so
-    each may be off by their a-priori rounding bound, at most n * eps * rho
-    (Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.1);
-    the bracket is widened by exactly that slack and nothing more.
-    Measured with OpenBLAS, the overshoot of value above the exact rho of
-    join graphs grows with n: up to 3 ulps of rho at n = 100, 39 at
-    n = 1000 and 81 at n = 2000, so no fixed few-ulp slack would do.
-    """
-    slack = n * np.finfo(float).eps * rho
-    return bool(report.value - slack <= rho <= report.value + report.residual + slack)
 
 
 @dataclass(frozen=True)

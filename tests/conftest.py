@@ -15,3 +15,15 @@ def random_graph(rng, n: int, prob: float) -> BipartiteGraph:
         sum(1 << j for j in range(n) if picks[i, j]) for i in range(n)
     )
     return BipartiteGraph(n, rows)
+
+
+def brackets_overlap(a, b) -> bool:
+    """Whether the brackets [value, value + residual] of two spectral
+    reports meet: neither radius is certainly below the other."""
+    return a.value <= b.value + b.residual and b.value <= a.value + a.residual
+
+
+def bracket_below(a, b) -> bool:
+    """Whether report a's bracket lies wholly below report b's, so that
+    rho(a) < rho(b) for certain."""
+    return a.value + a.residual < b.value

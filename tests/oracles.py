@@ -7,7 +7,8 @@ polynomial, against which the library's integer coefficients are checked,
 the complete-block, quasi-complement and bowtie-join builders that
 compose the extremal and join graphs the library writes row by row, the
 extremal signature by degrees and comparison with a built copy,
-isomorphism to the extremal graph by canonical relabeling, the
+isomorphism to the extremal graph by canonical relabeling, the exact sign
+of rho(g) - y by integer elimination, the
 deletion of one vertex's edges, the cyclic Latin squares with or without
 added edge orbits, the check, in Fractions, of a lattice witness that a
 family has no rainbow factor, and the k anti-diagonal perfect matchings
@@ -32,7 +33,7 @@ from rfl.graphs import (
     labeled_extremal_copy,
 )
 from rfl.shifting import is_bi_shifted
-from rfl.spectral import biquadratic_coeffs, spectral_radius
+from rfl.spectral import biquadratic_coeffs
 
 
 def brute_force_k_factor_exists(g: BipartiteGraph, k: int) -> bool:
@@ -185,6 +186,45 @@ def bfs_y_components(g: BipartiteGraph) -> list[int]:
                     queue.append(w)
         blocks.append(block)
     return blocks
+
+
+def radius_sign(g: BipartiteGraph, y: float) -> int:
+    """Oracle: the exact sign (-1, 0 or 1) of rho(g) - y, for a float y >= 0.
+
+    rho(g)^2 is the largest eigenvalue of B^T B, so with y = p / q in lowest
+    terms rho < y exactly when A = p^2 I - q^2 B^T B is positive definite,
+    and rho <= y exactly when A is positive semidefinite.  Both are read off
+    one fraction-free (Bareiss) elimination of A in integers, on the upper
+    triangle.  After the positive pivots taken so far, the rows P, entry
+    (i, j) holds the minor det A[P + i, P + j] and ``last`` is det A[P, P]
+    > 0, so every division is exact and each entry has the sign of the Schur
+    complement's.  All pivots positive is Sylvester's criterion: definite.
+    A negative pivot, or a zero one with a nonzero entry in its row, is a
+    Schur complement that is not semidefinite; a zero pivot on a zero row is
+    passed over, as that row and column meet no later pivot.
+    """
+    p, q = Fraction(y).as_integer_ratio()
+    if p < 0:
+        raise ValueError(f"need y >= 0, got {y}")
+    n = g.n
+    cols = [sum((row >> j & 1) << i for i, row in enumerate(g.x_rows)) for j in range(n)]
+    a = [
+        [(p * p if i == j else 0) - q * q * (cols[i] & cols[j]).bit_count() for j in range(n)]
+        for i in range(n)
+    ]
+    last, definite = 1, True
+    for k in range(n):
+        pivot = a[k][k]
+        if pivot < 0 or (pivot == 0 and any(a[k][k + 1 :])):
+            return 1
+        if pivot == 0:
+            definite = False
+            continue
+        for i in range(k + 1, n):
+            aki = a[k][i]
+            a[i][i:] = [(x * pivot - aki * z) // last for x, z in zip(a[i][i:], a[k][i:])]
+        last = pivot
+    return -1 if definite else 0
 
 
 @dataclass(frozen=True)
@@ -393,7 +433,6 @@ class ThreeCheckAudit:
     """One member's verdict under the three-check audit."""
 
     index: int
-    rho: float
     meets_threshold: bool
     interior_edges_present: bool | None
     min_degree_ok: bool | None
@@ -409,7 +448,8 @@ class ThreeCheckAudit:
 
 def three_check_audit(family: GraphFamily, rho_threshold: float) -> tuple[ThreeCheckAudit, ...]:
     """Oracle: the shifted-family audit as three separate checks on each
-    bi-shifted member meeting the threshold (within 1e-9): the interior
+    bi-shifted member whose radius is at least the threshold, decided
+    exactly by radius_sign: the interior
     boundary edges {j, 2n+k-j}, k+1 <= j <= n-1, are present; the minimum
     degree, counted edge by edge, is at least k-1; and every schedule edge
     other than the corners {k, 2n} and {n, n+k} is present.  ``missing``
@@ -423,9 +463,8 @@ def three_check_audit(family: GraphFamily, rho_threshold: float) -> tuple[ThreeC
     for idx, g in enumerate(family.members, start=1):
         if not is_bi_shifted(g):
             raise GraphError(f"member {idx} is not bi-shifted")
-        rho = spectral_radius(g).value
-        if rho < rho_threshold - 1e-9:
-            audits.append(ThreeCheckAudit(idx, rho, False, None, None, None, ()))
+        if radius_sign(g, rho_threshold) < 0:
+            audits.append(ThreeCheckAudit(idx, False, None, None, None, ()))
             continue
         degree = [0] * (2 * n + 1)
         for x, y in g.edges():
@@ -436,7 +475,6 @@ def three_check_audit(family: GraphFamily, rho_threshold: float) -> tuple[ThreeC
         audits.append(
             ThreeCheckAudit(
                 idx,
-                rho,
                 True,
                 not missing_interior,
                 min(degree[1:]) >= k - 1,

@@ -811,11 +811,9 @@ class TestShiftedFamilyAudit:
                     got = audit_shifted_family(family, threshold).members
                     want = three_check_audit(family, threshold)
                     assert [
-                        (m.index, m.rho, m.meets_threshold, sorted(m.missing), m.violated)
-                        for m in got
+                        (m.index, m.meets_threshold, sorted(m.missing), m.violated) for m in got
                     ] == [
-                        (m.index, m.rho, m.meets_threshold, sorted(m.missing), m.violated)
-                        for m in want
+                        (m.index, m.meets_threshold, sorted(m.missing), m.violated) for m in want
                     ]
 
     def test_rejects_non_bi_shifted_member(self):
