@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: build-extremal, rho, shift, k-factor, find-rainbow-factor,
-verify-lemma33, campaign.  File formats are the text formats of the graphs
-module; results print as JSON (or CSV for the margin grid).
+campaign.  File formats are the text formats of the graphs module; results
+print as JSON.  Each result has one path: rho prints spectral_radius, which
+picks its own method from the graph, and campaign runs the harness's engine.
 """
 
 from __future__ import annotations
@@ -19,14 +20,7 @@ from .flow import k_factor_exists
 from .graphs import ExtremalParams, GraphError, GraphFamily, build_extremal, build_join
 from .harness import CAMPAIGNS, ExperimentConfig, run_campaign
 from .shifting import shift_family
-from .spectral import (
-    ConvergenceError,
-    InconsistencyError,
-    SpectralReport,
-    _certified_root,
-    _class_quotient_coeffs,
-    spectral_radius,
-)
+from .spectral import ConvergenceError, InconsistencyError, spectral_radius
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -55,7 +49,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rho", help="spectral radius of a graph file")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--method", choices=["power", "quotient"], default="power")
     p.set_defaults(handler=_cmd_rho)
 
     p = sub.add_parser("shift", help="bi-shift every member of a family")
@@ -72,23 +65,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("find-rainbow-factor", help="search or construct a rainbow k-factor")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--budget", type=int, default=1_000_000)
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--construct", action="store_true")
-    mode.add_argument("--search", action="store_true")
-    mode.add_argument("--both", action="store_true")
+    p.add_argument("--construct", action="store_true", help="run the constructor, not the search")
     p.set_defaults(handler=_cmd_find_rainbow_factor)
-
-    p = sub.add_parser("verify-lemma33", help="CSV margin grid: join vs extremal radius")
-    p.add_argument("--kmax", type=int, required=True)
-    p.add_argument("--nmax", type=int, required=True)
-    p.add_argument("--out", default=None, help="CSV path; stdout when omitted")
-    p.set_defaults(handler=_cmd_margin_grid)
 
     defaults = ExperimentConfig()
     p = sub.add_parser("campaign", help="run a verification campaign")
     p.add_argument("name", choices=list(CAMPAIGNS))
     p.add_argument("--seed", type=int, default=defaults.seed)
-    p.add_argument("--out", default=defaults.output_path)
+    p.add_argument("--out", default=None, help="JSON report path; stdout when omitted")
     p.add_argument("--trials", type=int, default=defaults.trials)
     p.add_argument("--n-min", type=int, default=defaults.n_range[0])
     p.add_argument("--n-max", type=int, default=defaults.n_range[1])
@@ -110,18 +94,7 @@ def _cmd_build_extremal(args) -> int:
 
 
 def _cmd_rho(args) -> int:
-    g = fileio.read_graph(args.infile)
-    if args.method == "power":
-        report = spectral_radius(g)
-    else:
-        coeffs = _class_quotient_coeffs(g)
-        if coeffs is None:
-            raise GraphError(
-                "the quotient method applies only to graphs whose Y-vertices form one "
-                "block of at most two twin classes, such as the extremal and join graphs"
-            )
-        value, upper = _certified_root(*coeffs)
-        report = SpectralReport(value, "quotient-closed-form", 0, upper - value)
+    report = spectral_radius(fileio.read_graph(args.infile))
     print(json.dumps(dataclasses.asdict(report), sort_keys=True))
     return 0
 
@@ -149,59 +122,22 @@ def _cmd_k_factor(args) -> int:
 
 
 def _cmd_find_rainbow_factor(args) -> int:
+    """The exact search, or under --construct only the constructor, whose
+    GraphError on a family it does not take exits 2."""
     family = fileio.read_family(args.infile)
-    do_construct = args.construct or args.both
-    do_search = args.search or args.both or not (args.construct or args.both)
     out: dict = {"n": family.n, "k": family.k}
-    status = None
-    assignment = None
-    if do_construct:
-        try:
-            factor = construct_rainbow_factor_extremal(family)
-            out["construct"] = {"status": FOUND, "valid": True}
-            status, assignment = FOUND, factor.assignment
-        except GraphError as exc:
-            out["construct"] = {"status": "inapplicable", "reason": str(exc)}
-    if do_search:
+    if args.construct:
+        status, assignment = FOUND, construct_rainbow_factor_extremal(family).assignment
+    else:
         result = rainbow_k_factor_search(family, budget=args.budget)
-        out["search"] = {"status": result.status, **result.summary()}
-        if status is None or result.status == FOUND:
-            status = result.status
-            if result.assignment is not None:
-                assignment = result.assignment
+        status, assignment = result.status, result.assignment
+        out["search"] = {"status": status, **result.summary()}
     out["status"] = status
     if assignment is not None:
         out["assignment"] = [[i, list(e)] for i, e in assignment]
         out["valid"] = True
     print(json.dumps(out, sort_keys=True))
     return 0 if status in (FOUND, ABSENT) else 1
-
-
-def _cmd_margin_grid(args) -> int:
-    """CSV view of the lemma33-grid campaign, one row per case in report
-    order; a case the library could not decide is a false row, its error on
-    stderr."""
-    config = ExperimentConfig(n_range=(4, args.nmax), k_range=(2, args.kmax))
-    report = run_campaign("lemma33-grid", config)
-    lines = ["n,k,p,rho_join,rho_B,margin,holds"]
-    for case in report.cases:
-        nkp = "{n},{k},{p}".format(**case["params"])
-        v = case["values"]
-        if "error" in v:
-            print(f"error: (n,k,p) = ({nkp}): {v['error']}", file=sys.stderr)
-            lines.append(f"{nkp},,,,false")
-        else:
-            lines.append(
-                f"{nkp},{v['rho_join']:.10f},{v['rho_extremal']:.10f},"
-                f"{v['margin']:.10f},{str(case['ok']).lower()}"
-            )
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0 if report.failed == 0 else 1
 
 
 def _cmd_campaign(args) -> int:
@@ -211,12 +147,14 @@ def _cmd_campaign(args) -> int:
         k_range=(args.k_min, args.k_max),
         trials=args.trials,
         search_budget=args.budget,
-        output_path=args.out,
     )
     report = run_campaign(args.name, config)
     if not args.out:
         print(report.to_json())
     else:
+        with open(args.out, "w") as fh:
+            fh.write(report.to_json())
+            fh.write("\n")
         print(
             f"{report.campaign}: {report.passed} passed, {report.failed} failed "
             f"({report.wall_time_s}s) -> {args.out}"

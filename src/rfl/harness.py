@@ -50,7 +50,6 @@ class ExperimentConfig:
     k_range: tuple[int, int] = (2, 4)
     trials: int = 100
     search_budget: int = 2_000_000
-    output_path: str | None = None
 
     def __post_init__(self):
         if self.trials < 1:
@@ -114,11 +113,9 @@ def generate_random_bipartite(
 DeficiencyEntry = tuple[int, tuple[int, ...]]
 
 
-def random_deficiency_spec(
-    n: int, k: int, rng: np.random.Generator, ensure_distinct: bool = True
-) -> list[DeficiencyEntry]:
+def random_deficiency_spec(n: int, k: int, rng: np.random.Generator) -> list[DeficiencyEntry]:
     """kn random (deficient vertex, neighbor set) entries; redraws the last
-    entry until two entries differ when ensure_distinct is set."""
+    entry until two entries differ."""
     def draw() -> DeficiencyEntry:
         u = int(rng.integers(1, 2 * n + 1))
         pool = range(n + 1, 2 * n + 1) if u <= n else range(1, n + 1)
@@ -126,9 +123,8 @@ def random_deficiency_spec(
         return (u, nbrs)
 
     entries = [draw() for _ in range(k * n)]
-    if ensure_distinct:
-        while len(set(entries)) < 2:
-            entries[-1] = draw()
+    while len(set(entries)) < 2:
+        entries[-1] = draw()
     return entries
 
 
@@ -150,8 +146,7 @@ def generate_extremal_variant_family(
 
 
 def run_campaign(name: str, config: ExperimentConfig) -> CampaignReport:
-    """Execute one named campaign; writes the JSON report to
-    config.output_path when set.
+    """Execute one named campaign and return its report.
 
     Cases keep the order in which the campaign generates them.  A failed
     case also carries the seed, the config and its serialized instance, so
@@ -175,10 +170,6 @@ def run_campaign(name: str, config: ExperimentConfig) -> CampaignReport:
     if not report.cases:
         raise GraphError(f"campaign {name!r} checked no cases with config {report.config}")
     report.wall_time_s = round(time.perf_counter() - started, 3)
-    if config.output_path:
-        with open(config.output_path, "w") as fh:
-            fh.write(report.to_json())
-            fh.write("\n")
     return report
 
 
@@ -259,7 +250,7 @@ def _campaign_margin_grid(config: ExperimentConfig):
 
 def _campaign_shift_properties(config: ExperimentConfig):
     rng = make_rng(config.seed)
-    n_lo, n_hi = max(2, config.n_range[0]), min(config.n_range[1], 8)
+    n_lo, n_hi = max(2, config.n_range[0]), config.n_range[1]
     for trial in range(config.trials if n_lo <= n_hi else 0):
         n = int(rng.integers(n_lo, n_hi + 1))
         prob = float(rng.random())
@@ -306,11 +297,12 @@ def _campaign_extremal_absence(config: ExperimentConfig):
 
 
 def _campaign_construction(config: ExperimentConfig):
+    """Families of labeled extremal copies, taking the (n, k) points of the
+    config's grid in turn, each built by the constructor; about every
+    twentieth is also searched."""
     rng = make_rng(config.seed)
     confirm_every = max(1, config.trials // 20)
-    for trial in range(config.trials):
-        n = int(rng.choice([4, 5]))
-        k = 2
+    for trial, n, k in _grid_trials(config):
         spec = random_deficiency_spec(n, k, rng)
         family = generate_extremal_variant_family(n, k, spec)
         try:

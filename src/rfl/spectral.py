@@ -27,7 +27,7 @@ by exact integer sign checks (_certified_root, the one evaluator of that
 root), and an exact verdict on rho(join) < rho(extremal).  The same
 coefficients are read off any graph of one block of at most two Y-twin
 classes (_class_quotient_coeffs): join_margin checks each built graph by
-their equality, and rfl rho --method quotient brackets a file's radius.
+their equality.
 """
 
 from __future__ import annotations

@@ -196,10 +196,19 @@ class TestCampaigns:
 
     @pytest.mark.parametrize("n_range", [(10, 12), (1, 1)])
     def test_shift_properties_outside_its_sizes_checks_nothing(self, n_range):
-        # it draws n from 2..8 inside the range; an empty draw range is a
-        # campaign that checked nothing, not a numpy traceback
-        with pytest.raises(GraphError, match="no cases"):
-            run_campaign("shift-properties", ExperimentConfig(n_range=n_range, trials=2))
+        # it draws n from the whole range, from 2 up, with no cap: (10, 12)
+        # checks graphs of those sizes, and a range with no size of 2 or more
+        # is a campaign that checked nothing, not a numpy traceback
+        config = ExperimentConfig(seed=3, n_range=n_range, trials=6)
+        sizes = set(range(max(2, n_range[0]), n_range[1] + 1))
+        if not sizes:
+            with pytest.raises(GraphError, match="no cases"):
+                run_campaign("shift-properties", config)
+            return
+        report = run_campaign("shift-properties", config)
+        assert len(report.cases) == 6 and report.failed == 0
+        assert {c["params"]["n"] for c in report.cases} <= sizes
+        assert max(c["params"]["n"] for c in report.cases) > 8
 
     def test_cases_in_generation_order(self):
         report = run_campaign("shift-properties", ExperimentConfig(trials=12))
@@ -208,11 +217,16 @@ class TestCampaigns:
         nkp = [tuple(c["params"].values()) for c in report.cases]
         assert nkp == [(n, 2, p) for n in range(4, 12) for p in range(3, n)]
 
-    def test_report_written_to_file(self, tmp_path):
+    def test_report_written_to_file(self, tmp_path, capsys):
+        # rfl campaign --out writes the report run_campaign returns
+        from rfl.cli import main
+
         out = tmp_path / "report.json"
-        config = ExperimentConfig(output_path=str(out))
-        report = run_campaign("extremal-absence", config)
+        assert main(["campaign", "extremal-absence", "--out", str(out)]) == 0
+        assert capsys.readouterr().out.startswith("extremal-absence: 9 passed, 0 failed")
+        report = run_campaign("extremal-absence", ExperimentConfig())
         payload = json.loads(out.read_text())
+        assert payload["cases"] == report.cases
         assert payload["campaign"] == "extremal-absence"
         # every (n, k) of the default grid: 2 <= k <= 4, 2k <= n <= 8
         points = [(c["params"]["n"], c["params"]["k"]) for c in payload["cases"]]
@@ -287,37 +301,28 @@ class TestCLI:
         assert report["method"] == "power-iteration"
         assert abs(report["value"] - 3.502325127302632) < 1e-7
 
-    @pytest.mark.parametrize("n", [6, 20])
+    @pytest.mark.parametrize("n", [20])
     def test_rho_quotient_on_labeled_copies(self, tmp_path, capsys, n):
-        # the coefficients come from the file's graph: a labeled extremal
-        # copy, deficient in X or in Y, prints the extremal graph's bracket
-        # bit for bit
+        # above n = 16 spectral_radius reads the closed form off the file's
+        # graph: a labeled extremal copy, deficient in X or in Y, prints the
+        # extremal graph's bracket bit for bit
         k = 3
         closed = dataclasses.asdict(quotient_spectral_radius(ExtremalParams(n, k)))
         for u, nbrs in [(2, (n + 1, 2 * n)), (2 * n - 1, (1, n))]:
             path = tmp_path / f"copy{u}.txt"
             fileio.write_graph(path, labeled_extremal_copy(n, k, u, nbrs))
             capsys.readouterr()
-            assert self.run("rho", "--in", str(path), "--method", "quotient") == 0
+            assert self.run("rho", "--in", str(path)) == 0
             assert json.loads(capsys.readouterr().out) == closed, u
-
-    def test_rho_quotient_requires_matching_graph(self, tmp_path, capsys):
-        # a staircase has no two-class quotient: exit 2 with a message
-        path = tmp_path / "s.txt"
-        fileio.write_graph(path, BipartiteGraph(5, tuple((1 << i) - 1 for i in range(1, 6))))
-        capsys.readouterr()
-        assert self.run("rho", "--in", str(path), "--method", "quotient") == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and "twin classes" in captured.err
 
     @pytest.mark.parametrize("option", ["--k", "--p"])
     def test_rho_takes_no_parameters(self, tmp_path, capsys, option):
-        # the graph file alone decides the quotient; --k and --p are unknown
+        # the graph file alone decides the radius; --k and --p are unknown
         # options, an argparse usage error
         path = tmp_path / "b.txt"
         assert self.run("build-extremal", "--n", "4", "--k", "2", "--out", str(path)) == 0
         with pytest.raises(SystemExit) as exc:
-            self.run("rho", "--in", str(path), "--method", "quotient", option, "2")
+            self.run("rho", "--in", str(path), option, "2")
         assert exc.value.code == 2
         assert option in capsys.readouterr().err
 
@@ -354,12 +359,24 @@ class TestCLI:
         family = generate_extremal_variant_family(4, 2, [(8, (1,))] * 7 + [(8, (2,))])
         src = tmp_path / "fam.txt"
         fileio.write_family(src, family)
-        assert self.run("find-rainbow-factor", "--in", str(src), "--both") == 0
-        out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-        assert out["status"] == "found"
-        assert out["construct"]["status"] == "found"
-        assert out["search"]["status"] == "found"
+        assert self.run("find-rainbow-factor", "--in", str(src), "--construct") == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["status"] == "found" and "search" not in out
         assert len(out["assignment"]) == 8
+        assert self.run("find-rainbow-factor", "--in", str(src)) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["status"] == out["search"]["status"] == "found"
+        assert len(out["assignment"]) == 8
+
+    def test_construct_on_a_family_it_does_not_take_exits_2(self, tmp_path, capsys):
+        # a cyclic Latin square is no family of labeled extremal copies:
+        # the constructor's message on stderr, nothing on stdout
+        src = tmp_path / "fam.txt"
+        fileio.write_family(src, GraphFamily(4, 1, tuple(cyclic_latin(4))))
+        assert self.run("find-rainbow-factor", "--in", str(src), "--construct") == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+        assert len(captured.err.strip().splitlines()) == 1
 
     def test_find_rainbow_factor_absent(self, tmp_path, capsys):
         family = GraphFamily(4, 2, (build_extremal(4, 2),) * 8)
@@ -370,13 +387,13 @@ class TestCLI:
         assert out["status"] == "absent"
 
     def search_twice(self, family: GraphFamily, tmp_path, capsys) -> dict:
-        """The search entry of find-rainbow-factor --search, which repeats
-        exactly from run to run."""
+        """The search entry of find-rainbow-factor, which repeats exactly
+        from run to run."""
         src = tmp_path / "fam.txt"
         fileio.write_family(src, family)
         outputs = []
         for _ in range(2):
-            assert self.run("find-rainbow-factor", "--in", str(src), "--search") == 0
+            assert self.run("find-rainbow-factor", "--in", str(src)) == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
         search = json.loads(outputs[0].strip().splitlines()[-1])["search"]
@@ -404,23 +421,15 @@ class TestCLI:
         witness = search["witness"]
         assert check_lattice_witness(family, (witness["x"], witness["y"], witness["members"]))
 
-    def test_margin_grid_csv(self, tmp_path):
-        out = tmp_path / "grid.csv"
-        assert self.run("verify-lemma33", "--kmax", "2", "--nmax", "5", "--out", str(out)) == 0
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "n,k,p,rho_join,rho_B,margin,holds"
-        assert len(lines) == 4  # (4,2,3), (5,2,3), (5,2,4)
-        assert all(line.endswith("true") for line in lines[1:])
-
     def test_margin_grid_that_checks_nothing_exits_2(self, capsys):
-        assert self.run("verify-lemma33", "--kmax", "1", "--nmax", "5") == 2
+        assert self.run("campaign", "lemma33-grid", "--k-max", "1", "--n-max", "5") == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error:")
         assert "no cases" in captured.err
 
     def test_margin_grid_reports_an_undecided_case(self, monkeypatch, capsys):
-        # the grid is a view of the lemma33-grid campaign: a case the
-        # library cannot decide is a false row, the others stay
+        # a case the library cannot decide is a failed case carrying its
+        # error, the others stay
         import rfl.harness
         from rfl.spectral import InconsistencyError
 
@@ -432,12 +441,14 @@ class TestCLI:
             return real(params)
 
         monkeypatch.setattr(rfl.harness, "join_margin", fail_at_5_2_4)
-        assert self.run("verify-lemma33", "--kmax", "2", "--nmax", "5") == 1
+        assert self.run("campaign", "lemma33-grid", "--k-max", "2", "--n-max", "5") == 1
         captured = capsys.readouterr()
-        lines = captured.out.strip().splitlines()
-        assert len(lines) == 4 and lines[3] == "5,2,4,,,,false"
-        assert all(line.endswith("true") for line in lines[1:3])
-        assert captured.err == "error: (n,k,p) = (5,2,4): the computation gave up\n"
+        cases = json.loads(captured.out)["cases"]
+        nkp = [(c["params"]["n"], c["params"]["k"], c["params"]["p"]) for c in cases]
+        assert nkp == [(4, 2, 3), (5, 2, 3), (5, 2, 4)]
+        assert [c["ok"] for c in cases] == [True, True, False]
+        assert cases[2]["values"] == {"error": "the computation gave up"}
+        assert captured.err == ""
 
     def test_campaign_command(self, tmp_path, capsys):
         out = tmp_path / "r.json"
@@ -493,6 +504,28 @@ class TestCLI:
         assert exc.value.code == 2
         assert "--tol" in capsys.readouterr().err
         assert not report.exists()
+
+    @pytest.mark.parametrize(
+        "argv, removed",
+        [
+            (("rho", "--in", "{path}", "--method", "quotient"), "--method"),
+            (("find-rainbow-factor", "--in", "{path}", "--search"), "--search"),
+            (("find-rainbow-factor", "--in", "{path}", "--both"), "--both"),
+            (("verify-lemma33", "--kmax", "3", "--nmax", "5"), "verify-lemma33"),
+        ],
+        ids=["rho-method", "search", "both", "verify-lemma33"],
+    )
+    def test_removed_options_are_usage_errors(self, tmp_path, capsys, argv, removed):
+        # rho prints spectral_radius, which picks its own method; the search
+        # is find-rainbow-factor's default; rfl campaign lemma33-grid runs
+        # the margin grid.  Each removed path is an argparse usage error.
+        path = tmp_path / "b.txt"
+        assert self.run("build-extremal", "--n", "6", "--k", "2", "--out", str(path)) == 0
+        with pytest.raises(SystemExit) as exc:
+            self.run(*(arg.format(path=path) for arg in argv))
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and removed in captured.err
 
     @pytest.mark.parametrize(
         "command, name, error",
