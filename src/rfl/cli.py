@@ -22,6 +22,8 @@ from .harness import CAMPAIGNS, ExperimentConfig, run_campaign
 from .shifting import shift_family
 from .spectral import ConvergenceError, InconsistencyError, spectral_radius
 
+SEARCH_BUDGET = 1_000_000  # find-rainbow-factor's node budget without --budget
+
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
@@ -64,7 +66,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("find-rainbow-factor", help="search or construct a rainbow k-factor")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--budget", type=int, default=1_000_000)
+    p.add_argument(
+        "--budget", type=int, default=None, help=f"search node budget (default {SEARCH_BUDGET:,})"
+    )
     p.add_argument("--construct", action="store_true", help="run the constructor, not the search")
     p.set_defaults(handler=_cmd_find_rainbow_factor)
 
@@ -123,13 +127,18 @@ def _cmd_k_factor(args) -> int:
 
 def _cmd_find_rainbow_factor(args) -> int:
     """The exact search, or under --construct only the constructor, whose
-    GraphError on a family it does not take exits 2."""
+    GraphError on a family it does not take exits 2, as does --budget with
+    --construct, which runs no search."""
+    if args.construct and args.budget is not None:
+        print("error: --budget caps the search; --construct runs none", file=sys.stderr)
+        return 2
     family = fileio.read_family(args.infile)
     out: dict = {"n": family.n, "k": family.k}
     if args.construct:
         status, assignment = FOUND, construct_rainbow_factor_extremal(family).assignment
     else:
-        result = rainbow_k_factor_search(family, budget=args.budget)
+        budget = SEARCH_BUDGET if args.budget is None else args.budget
+        result = rainbow_k_factor_search(family, budget=budget)
         status, assignment = result.status, result.assignment
         out["search"] = {"status": status, **result.summary()}
     out["status"] = status

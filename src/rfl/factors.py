@@ -8,7 +8,9 @@ counted with ``int.bit_count``.  A flow at every node asks whether the live
 classes' free edges together can meet every deficit, X and Y alike, the way
 Régin's flow-based ``alldifferent`` filter checks its matching at every node
 (Régin, AAAI 1994); it subsumes every per-Y-vertex count, so the search
-scans and branches on the X side only.
+scans and branches on the X side only.  The subgraph the flow finds also
+orders the node's children, its edges first: value ordering by a
+relaxation's solution, as in constraint programming.
 
 Orbit pruning (McKay, "Isomorph-free exhaustive generation", J. Algorithms
 1998) removes much of the family's remaining symmetry.  An automorphism of
@@ -159,7 +161,12 @@ def rainbow_k_factor_search(family: GraphFamily, budget: int = DEFAULT_BUDGET) -
     it branches on the item with the fewest free (class, edge) options per
     edge a child places: an open X-vertex, given all its missing edges at
     once, or a class with one member left, given its one edge.  Both list
-    every option, so the search is complete.
+    every option, so the search is complete.  The node's flow orders them:
+    an X-vertex's options list the Y-vertices of the flow's edges at it
+    first, and a class's one-edge children the edges the flow took first,
+    over all open X-vertices, then the rest.  The flow's subgraph meets
+    every deficit, so a factor often lies below its edges; only the order
+    changes, and an ABSENT search still visits every child.
 
     At the root and its children, once a child fails and siblings remain,
     the search looks for family automorphisms that fix the placements made
@@ -168,10 +175,11 @@ def rainbow_k_factor_search(family: GraphFamily, budget: int = DEFAULT_BUDGET) -
     the orbit of a failed child under the maps found is skipped: it cannot
     lead to a factor, since the inverse map would carry one back to the
     failed child.  Each map is verified against the classes before use, the
-    explored children keep their order, and so the factor returned is the
-    one the search would find without pruning.  ``orbit_skips`` counts the
-    skipped children and ``automorphisms`` the verified maps; both, like
-    ``nodes_visited`` and ``flow_cuts``, repeat exactly from run to run.
+    explored children keep their flow-first order, and so the factor
+    returned is the one the search would find without pruning.
+    ``orbit_skips`` counts the skipped children and ``automorphisms`` the
+    verified maps; both, like ``nodes_visited`` and ``flow_cuts``, repeat
+    exactly from run to run.
     ``budget`` caps the nodes, so ``nodes_visited`` never exceeds it; running
     out is reported as BUDGET_EXHAUSTED, never as absence.
 
@@ -276,22 +284,24 @@ def _search(family: GraphFamily, budget: int) -> SearchResult:
             if best_cost is None or cost < best_cost:
                 best, best_cost = ("x", x), cost
         # The free edges together must meet every deficit, on both sides.
-        if _exact_degree(reach_x, deficit_x, deficit_y) is None:
+        flow = _exact_degree(reach_x, deficit_x, deficit_y)
+        if flow is None:
             flow_cuts += 1
             return False
 
+        # the flow's edges meet every deficit, so children on them come first
         kind, item = best
         if kind == "class":
+            rows = class_rows[item]
             children = (
-                ((item, x, y),) for x in open_x for y in _bits(class_rows[item][x] & free_rows[x])
+                ((item, x, y),)
+                for on_flow in (True, False)
+                for x in open_x
+                for y in _bits(rows[x] & free_rows[x] & (flow[x] if on_flow else ~flow[x]))
             )
         else:
-            options = [
-                (c, item, y)
-                for y in _bits(reach_x[item])
-                for c in live
-                if class_rows[c][item] >> y & 1
-            ]
+            ys = [*_bits(flow[item]), *_bits(reach_x[item] & ~flow[item])]
+            options = [(c, item, y) for y in ys for c in live if class_rows[c][item] >> y & 1]
             children = _vertex_children(options, deficit_x[item], need)
         for combo in children:
             if branch(combo, depth + 1):
@@ -392,10 +402,10 @@ def _search(family: GraphFamily, budget: int) -> SearchResult:
 
 
 def _vertex_children(options: list, d: int, need: list[int]):
-    """The d-subsets of one X-vertex's (class, x, y) options, sorted by y,
-    that take distinct edges and no class more often than it still has
-    members, in ``itertools.combinations`` order.  A run of options on one
-    edge is skipped as soon as one of them is taken."""
+    """The d-subsets of one X-vertex's (class, x, y) options, the options on
+    one edge next to each other, that take distinct edges and no class more
+    often than it still has members, in ``itertools.combinations`` order.  A
+    run of options on one edge is skipped as soon as one of them is taken."""
     after = [len(options)] * len(options)  # the first later option on another edge
     for i in range(len(options) - 2, -1, -1):
         after[i] = after[i + 1] if options[i + 1][2] == options[i][2] else i + 1

@@ -299,7 +299,8 @@ def _campaign_extremal_absence(config: ExperimentConfig):
 def _campaign_construction(config: ExperimentConfig):
     """Families of labeled extremal copies, taking the (n, k) points of the
     config's grid in turn, each built by the constructor; about every
-    twentieth is also searched."""
+    twentieth is also searched, and its case reports the search's status
+    and counters."""
     rng = make_rng(config.seed)
     confirm_every = max(1, config.trials // 20)
     for trial, n, k in _grid_trials(config):
@@ -311,7 +312,7 @@ def _campaign_construction(config: ExperimentConfig):
             ok = True
             if trial % confirm_every == 0:
                 search = rainbow_k_factor_search(family, budget=config.search_budget)
-                values["search_status"] = search.status
+                values.update(search_status=search.status, **search.summary())
                 ok = search.status == FOUND
         except _LIBRARY_ERRORS as exc:
             values = {"constructed": False, "error": str(exc)}

@@ -110,8 +110,9 @@ def spectral_radius(g: BipartiteGraph) -> SpectralReport:
     the square roots of the two bounds differ by less than DEFAULT_TOL.  The
     bracket holds whatever the tolerance, which sets only its width, and its
     float ends are rounded outward by their a-priori error bound.  A
-    block of one Y-vertex is a star with rho = sqrt(its degree d), bracketed
-    as the largest root of x^4 - d x^2 by _certified_root.
+    block of one Y-vertex is a star with rho = sqrt(its degree d).  Only the
+    largest star degree can set an end, so the stars take one bracket: the
+    largest root of x^4 - d x^2 for that d, by _certified_root.
 
     For n <= _DENSE_START_MAX the rows are used as they are.  With Bb the
     block's columns of B, a block of at most _DENSE_START_MAX Y-vertices
@@ -159,6 +160,7 @@ def spectral_radius(g: BipartiteGraph) -> SpectralReport:
         weights = np.array(tuple(multiplicity.values()), np.float64)
     b = None
     lo = hi = 0.0  # the largest lower and upper ends, in rho units
+    star = 0  # the largest star degree
     iterations = 0
     blocks = _y_components(rows)
     block_rows = {} if weights is None else _rows_of_blocks(blocks, rows)
@@ -168,8 +170,7 @@ def spectral_radius(g: BipartiteGraph) -> SpectralReport:
             if multiplicity is None:
                 multiplicity = Counter(rows)
             # the star's X-neighbours are exactly the rows equal to its bit
-            value, upper = _certified_root(multiplicity[block], 0)
-            lo, hi = max(lo, value), max(hi, upper)
+            star = max(star, multiplicity[block])
             continue
         gram = y_sizes = perron = None
         if weights is not None:
@@ -234,6 +235,9 @@ def spectral_radius(g: BipartiteGraph) -> SpectralReport:
         terms = len(v) if gram is not None else size + len(rows) + 1
         widen = (terms + 2 * len(v) + 5) * 2.0**-52
         lo, hi = max(lo, root_lo * (1 - widen)), max(hi, root_hi * (1 + widen))
+    if star:
+        value, upper = _certified_root(star, 0)
+        lo, hi = max(lo, value), max(hi, upper)
     method = "power-iteration" if iterations else "quotient-closed-form"
     residual = hi - lo if lo + (hi - lo) >= hi else math.nextafter(hi - lo, math.inf)
     return SpectralReport(value=lo, method=method, iterations=iterations, residual=residual)

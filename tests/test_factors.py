@@ -327,11 +327,12 @@ class TestRainbowSearchAgainstOracle:
         assert oracle_rainbow_factor_exists(one_odd_family(4, 2))
 
 
-# Nodes the one-odd searches take with the degree flow at every node, on the
-# family and on its transpose (11/11/14/13 and 10/13/13/11 with the flow at
-# the root only); they must not rise.
-ONE_ODD_NODES = {(6, 2): 7, (7, 2): 10, (8, 2): 9, (6, 3): 7}
-ONE_ODD_TRANSPOSED_NODES = {(6, 2): 7, (7, 2): 9, (8, 2): 9, (6, 3): 7}
+# Nodes the one-odd searches take with the degree flow at every node and
+# the flow's edges tried first, on the family and on its transpose (10 and 9
+# at (7, 2) with the children in Y order, 11/11/14/13 and 10/13/13/11 with
+# the flow at the root only); they must not rise.
+ONE_ODD_NODES = {(6, 2): 7, (7, 2): 8, (8, 2): 9, (6, 3): 7}
+ONE_ODD_TRANSPOSED_NODES = {(6, 2): 7, (7, 2): 8, (8, 2): 9, (6, 3): 7}
 
 
 class TestAdversarialFamilies:
@@ -367,6 +368,42 @@ class TestAdversarialFamilies:
         result = rainbow_k_factor_search(family, budget=1_000)
         assert result.status == FOUND
         result.factor(8, 4).validate(family)
+
+    def test_theorem_sample_seed_5_trial_12_found_within_1000_nodes(self):
+        # trial 12 of theorem-sample at seed 5 on the grid 14 <= n <= 16,
+        # k <= 8: grown extremal copies at (14, 6), written out so that the
+        # pin holds whatever the generator draws.  Each member is K_{14,14}
+        # less the edges from one vertex v (1..28) to the vertices whose
+        # bits are set in mask (bit j: X-vertex j+1 or Y-vertex 15+j).  With
+        # the children tried in Y order it exhausted 2,000,000 nodes.
+        n, k, full = 14, 6, (1 << 14) - 1
+        missing = [
+            (18, 2171), (17, 9879), (8, 14085), (15, 374), (26, 10581), (18, 13033),
+            (21, 4509), (3, 1432), (11, 12710), (11, 8767), (21, 5676), (16, 16180),
+            (12, 14350), (12, 6548), (16, 2427), (27, 8820), (15, 5699), (14, 1163),
+            (9, 14571), (3, 12419), (9, 4669), (16, 2225), (18, 15778), (3, 4943),
+            (11, 10463), (15, 5151), (16, 4460), (28, 5198), (4, 10726), (3, 10799),
+            (28, 12174), (6, 2875), (7, 14546), (4, 6485), (3, 11331), (26, 10663),
+            (21, 11094), (24, 12390), (10, 2020), (13, 10418), (4, 7352), (20, 9005),
+            (16, 14094), (8, 6209), (10, 2013), (23, 9395), (10, 2348), (14, 13861),
+            (1, 1509), (3, 6814), (23, 3779), (20, 12164), (9, 7218), (27, 15141),
+            (7, 3101), (16, 6900), (16, 13518), (7, 11393), (14, 9952), (11, 10076),
+            (12, 4661), (9, 15019), (3, 1517), (22, 13495), (6, 4845), (20, 5425),
+            (12, 13769), (3, 2615), (26, 14415), (22, 11212), (26, 11252), (2, 16011),
+            (24, 10422), (1, 1945), (13, 477), (12, 14403), (27, 11521), (14, 1104),
+            (1, 1676), (11, 9460), (20, 15898), (22, 3819), (25, 1630), (24, 13010),
+        ]  # fmt: skip
+        members = []
+        for v, mask in missing:
+            if v <= n:
+                rows = [full & ~mask if x == v - 1 else full for x in range(n)]
+            else:
+                rows = [full & ~(1 << v - n - 1) if mask >> x & 1 else full for x in range(n)]
+            members.append(BipartiteGraph(n, tuple(rows)))
+        family = GraphFamily(n, k, tuple(members))
+        result = rainbow_k_factor_search(family, budget=1_000)
+        assert result.status == FOUND
+        result.factor(n, k).validate(family)
 
     def test_flow_cuts_the_identical_extremal_family_at_the_root(self):
         # B_{n,k} has no k-factor, so the free edges at the root cannot meet
@@ -599,8 +636,8 @@ class TestOrbitPruning:
     @pytest.mark.parametrize(
         "n, k, rows",
         [
-            (3, 2, [(7, 7, 7), (6, 6, 6), (7, 7, 7), (1, 1, 1), (6, 6, 6), (1, 1, 1)]),
-            (3, 2, [(1, 0, 4), (0, 4, 2), (2, 1, 4), (4, 6, 0), (0, 2, 3), (5, 0, 1)]),
+            (3, 2, [(3, 6, 5), (6, 5, 3), (2, 4, 1)] * 2),
+            (3, 2, [(0, 4, 6), (6, 7, 3), (1, 0, 4), (2, 1, 0), (4, 0, 1), (2, 3, 4)]),
             (4, 1, [(0, 2, 0, 8), (12, 8, 1, 3), (0, 12, 10, 6), (2, 13, 10, 14)]),
         ],
     )

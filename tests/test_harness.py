@@ -238,6 +238,21 @@ class TestCampaigns:
             "k_factor_exists",
         }
 
+    def test_construction_reports_its_search_counters(self):
+        # every second of 40 trials is also searched; its case carries the
+        # counters that extremal-absence and theorem-sample report
+        report = run_campaign("lemma32-construction", ExperimentConfig(seed=1, trials=40))
+        assert report.failed == 0
+        searched = [c["values"] for c in report.cases if "search_status" in c["values"]]
+        assert len(searched) == 20
+        for values in searched:
+            assert set(values) == {
+                "constructed", "search_status", "nodes", "orbit_skips", "automorphisms",
+                "flow_cuts", "witness",
+            }
+            assert values["search_status"] == "found" and values["nodes"] >= 1
+            assert values["witness"] is None
+
     @pytest.mark.parametrize(
         "campaign, name",
         [("lemma33-grid", "join_margin"), ("lemma32-construction", "construct_rainbow_factor_extremal")],
@@ -377,6 +392,19 @@ class TestCLI:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error:")
         assert len(captured.err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("budget", ["0", "1000000"])
+    def test_construct_with_a_budget_exits_2(self, tmp_path, capsys, budget):
+        # the constructor runs no search, so a node budget is refused, even
+        # on a family it would build and even at the search's default
+        src = tmp_path / "fam.txt"
+        fileio.write_family(src, generate_extremal_variant_family(4, 2, seed=1))
+        args = ("find-rainbow-factor", "--in", str(src), "--construct")
+        assert self.run(*args, "--budget", budget) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+        assert len(captured.err.strip().splitlines()) == 1
+        assert self.run(*args) == 0
 
     def test_find_rainbow_factor_absent(self, tmp_path, capsys):
         family = GraphFamily(4, 2, (build_extremal(4, 2),) * 8)

@@ -399,6 +399,41 @@ class TestPowerIteration:
                 lo, hi = Fraction(report.value), Fraction(report.value + report.residual)
                 assert lo**2 <= d <= hi**2, (n, d)
 
+    @pytest.mark.parametrize(
+        "n, stars, complete",
+        [
+            (8, [2, 2, 2], []),
+            (8, [3, 2, 1, 1], []),
+            (16, [5, 5, 3, 3], []),
+            (40, [7, 5, 5, 2, 2, 1], []),
+            (40, [5, 3, 3], [(2, 3)]),  # the complete block sets both ends
+            (40, [7, 7, 2], [(2, 3), (3, 2)]),  # the stars do
+            (40, [6, 6, 4], [(3, 2)]),  # a tie: rho^2 = 6 on both
+        ],
+    )
+    def test_stars_give_the_per_block_reports(self, rng, n, stars, complete):
+        # Each block bracketed on its own by _certified_root(d, 0), with
+        # d = a b for a complete block K_{a,b} above the dense-start limit,
+        # the reports fold to the largest ends; bracketing only the largest
+        # star gives the same report, field for field.
+        rows, y = [], 0
+        for d in stars:
+            rows += [1 << y] * d
+            y += 1
+        for a, b in complete:
+            rows += [((1 << b) - 1) << y] * a
+            y += b
+        rows += [0] * (n - len(rows))
+        brackets = [_certified_root(d, 0) for d in stars + [a * b for a, b in complete]]
+        lo, hi = max(b[0] for b in brackets), max(b[1] for b in brackets)
+        residual = hi - lo if lo + (hi - lo) >= hi else math.nextafter(hi - lo, math.inf)
+        for _ in range(3):
+            g = BipartiteGraph(n, tuple(rows[int(i)] for i in rng.permutation(n)))
+            report = spectral_radius(g)
+            assert (report.value, report.residual, report.iterations, report.method) == (
+                lo, residual, 0, "quotient-closed-form"
+            )
+
     def test_part_swap_keeps_radius(self, rng):
         # M = B^T B is one-sided; the transposed graph iterates on B B^T
         for _ in range(60):
