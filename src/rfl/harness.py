@@ -218,15 +218,17 @@ def _campaign_spectral_consistency(config: ExperimentConfig):
     for n, k in _grid(config):
         g = build_extremal(n, k)
         closed = quotient_spectral_radius(ExtremalParams(n, k))
-        power = spectral_radius(g)
+        report = spectral_radius(g)
         values = {
             "rho_closed": closed.value,
-            "rho_power": power.value,
-            "residual": power.residual,
-            "diff": abs(closed.value - power.value),
+            "rho_graph": report.value,
+            "residual": report.residual,
+            "diff": abs(closed.value - report.value),
+            "method": report.method,
+            "iterations": report.iterations,
         }
-        hi_power, hi_closed = power.value + power.residual, closed.value + closed.residual
-        yield {"n": n, "k": k}, values, power.value <= hi_closed and closed.value <= hi_power, g
+        hi_graph, hi_closed = report.value + report.residual, closed.value + closed.residual
+        yield {"n": n, "k": k}, values, report.value <= hi_closed and closed.value <= hi_graph, g
 
 
 def _campaign_margin_grid(config: ExperimentConfig):

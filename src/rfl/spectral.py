@@ -13,12 +13,12 @@ and usually closes on the first product; a larger one starts from all-ones
 and is never formed, each product applied through B as B^T (B v) (Golub and
 Van Loan, Matrix Computations, secs. 8.6 and 10.4).
 
-On graphs with more than _DENSE_START_MAX X-vertices both sides are
-quotiented by their twins, vertices with equal neighbourhoods, which form
-equitable partitions (Brouwer and Haemers, Spectra of Graphs, sec. 2.3): a
-block of at most two Y-twin classes is decided in closed form with no
-product, and one of a few classes iterates on its integer class quotient
-(see spectral_radius).  Smaller graphs keep their rows as they are.
+Twins, vertices with equal neighbourhoods, form equitable partitions
+(Brouwer and Haemers, Spectra of Graphs, sec. 2.3): at every n a block of at
+most two Y-twin classes is decided in closed form with no product.  On
+graphs with more than _DENSE_START_MAX X-vertices the X-rows are also
+counted, and a block of a few classes iterates on its integer class
+quotient (see spectral_radius); smaller graphs keep their rows as they are.
 
 Join-type and extremal graphs additionally admit a 4x4 equitable quotient
 matrix whose characteristic polynomial x^4 - c2 x^2 + c0 has integer
@@ -58,24 +58,27 @@ MAX_ITERATIONS = 100_000
 
 # Blocks of at most this many Y-vertices, or on graphs with more than this
 # many X-vertices of at most this many Y-twin classes, start from the Perron
-# vector of a dense eigh and take their products on a formed matrix; other
-# blocks stay matrix-free and start from all-ones.  Measured for this loop on
-# a shared 2-vCPU Xeon with OpenBLAS on one thread, as whole spectral_radius
-# calls on random half-dense s x s graphs (three each): with the dense start
+# vector of a dense eigh and take their products on a formed matrix, unless
+# they have at most two classes and take none; other blocks stay matrix-free
+# and start from all-ones.  Measured for this loop on a shared 2-vCPU Xeon
+# with OpenBLAS on one thread, as whole spectral_radius calls on random
+# half-dense s x s graphs (three each): with the dense start
 # 48-55 us at s = 8, 92-95 us at 16, 147-151 us at 24, 204-212 us at 32 and
 # 417-421 us at 48, always one product; from all-ones 134-161 us at 8 (16-19
 # products), 133-148 us at 16 (13-15), 129-148 us at 24 (11-13), 131-153 us
 # at 32 (10-12) and 156-160 us at 48 (10).  The crossover lies near 24; the
 # limit sits below it, so large blocks never pay for eigh.
-# The same limit decides which graphs are quotiented by their twins: one of
-# at most this many X-vertices keeps its rows as they are, since all its
-# blocks are dense-started and cost fixed numpy overhead that counting the
-# rows only adds to.  Measured the same way, counting every graph's rows took
-# 64-66 us a call against 53-55 us on Ferrers graphs with n = 9, and 44-46
-# against 37-39 us on random graphs with n <= 8.  And it bounds the class
-# count at which the twin split of a block gives up: a twin-free block
-# reaches it within a few rows, so it pays only a few dozen bitset
-# operations before running matrix-free.
+# The same limit decides which graphs have their rows counted and their
+# blocks of three or more classes quotiented by their twins: one of at most
+# this many X-vertices keeps its rows as they are, since those blocks are
+# dense-started and cost fixed numpy overhead that counting the rows only
+# adds to.  Measured the same way, counting every graph's rows took 64-66 us
+# a call against 53-55 us on Ferrers graphs with n = 9, and 44-46 against
+# 37-39 us on random graphs with n <= 8.  There the twin split gives up at
+# the first row that makes a third class, and only a block that it decides
+# counts its inside rows.  Above the limit it bounds the class count at which
+# the split gives up: a twin-free block reaches it within a few rows, so it
+# pays only a few dozen bitset operations before running matrix-free.
 _DENSE_START_MAX = 16
 
 
@@ -114,33 +117,38 @@ def spectral_radius(g: BipartiteGraph) -> SpectralReport:
     largest star degree can set an end, so the stars take one bracket: the
     largest root of x^4 - d x^2 for that d, by _certified_root.
 
-    For n <= _DENSE_START_MAX the rows are used as they are.  With Bb the
-    block's columns of B, a block of at most _DENSE_START_MAX Y-vertices
-    forms its s x s Gram matrix Bb^T Bb, starts from |top eigenvector of
-    eigh| of it (or from all-ones if that has an entry <= 0), and takes each
-    product as one s x s matrix-vector product on it.
+    Every other block's Y-vertices are split into twin classes (equal
+    columns) by _twin_classes, which gives up past two classes for n <=
+    _DENSE_START_MAX and past _DENSE_START_MAX classes above it.  For the
+    class-constant vector with class values v, M gives the class-constant
+    vector with values w = G (m_y * v), where G = Bq^T diag(m_x) Bq is the
+    c x c quotient over one column Bq per class, m_x the multiplicities of
+    the distinct rows inside the block and m_y the class sizes.  A block of
+    at most two classes (the extremal and join graphs, at every n) takes no
+    product: rho^2 is the largest root of t^2 - c2 t + c0 with c2 and c0 the
+    trace and the determinant of the integer matrix G diag(m_y) (c0 = 0 for
+    one class, a complete bipartite K_{a,b} with rho^2 = a b), and its
+    bracket [value, value + residual] is the one quotient_spectral_radius
+    gives, decided by exact integer sign checks.  For n <= _DENSE_START_MAX
+    the inside rows are counted only for such a block.
+
+    For n <= _DENSE_START_MAX the rows are otherwise used as they are.  With
+    Bb the block's columns of B, a block of three or more classes forms its
+    s x s Gram matrix Bb^T Bb, starts from |top eigenvector of eigh| of it
+    (or from all-ones if that has an entry <= 0), and takes each product as
+    one s x s matrix-vector product on it.
 
     For n > _DENSE_START_MAX the rows are counted once (_row_counts): Bd
     holds the d distinct nonzero rows and m_x their multiplicities, B^T B =
-    Bd^T diag(m_x) Bd, and a star's degree is its bit's count.  Each block's
-    Y-vertices are split into twin classes (equal columns), giving up past
-    _DENSE_START_MAX classes (_twin_classes).  For the class-constant vector
-    with class values v, M gives the class-constant vector with values
-    w = G (m_y * v), where G = Bq^T diag(m_x) Bq is the c x c quotient over
-    one column per class and m_y the class sizes.  A block of at most two
-    classes (the extremal and join graphs) takes no product: rho^2 is the
-    largest root of t^2 - c2 t + c0 with c2 and c0 the trace and the
-    determinant of the integer matrix G diag(m_y) (c0 = 0 for one class, a
-    complete bipartite K_{a,b} with rho^2 = a b), and its bracket
-    [value, value + residual] is the one quotient_spectral_radius gives,
-    decided by exact integer sign checks.  A block of 3 to
-    _DENSE_START_MAX classes starts from the Perron vector of the symmetric
-    diag(sqrt m_y) G diag(sqrt m_y), divided by sqrt m_y, and iterates on
-    class vectors with the bounds (m_y * v).w / (m_y * v).v and
+    Bd^T diag(m_x) Bd, and a star's degree is its bit's count.  A block of
+    3 to _DENSE_START_MAX classes starts from the Perron vector of the
+    symmetric diag(sqrt m_y) G diag(sqrt m_y), divided by sqrt m_y, and
+    iterates on class vectors with the bounds (m_y * v).w / (m_y * v).v and
     max_i w_i / v_i, exactly the bounds above at the full n-long iterate.
-    Neither builds B.  A block with more classes builds B over the distinct
-    rows, starts from all-ones and never forms its Gram matrix: one product
-    is ((Bb v) * m_x) Bb, two d x s matrix-vector products.
+    Neither it nor a block of at most two classes builds B.  A block with
+    more classes builds B over the distinct rows, starts from all-ones and
+    never forms its Gram matrix: one product is ((Bb v) * m_x) Bb, two
+    d x s matrix-vector products.
 
     Reports value = the largest lower end over the blocks, residual = the
     distance from it to the largest upper end, rounded up if value +
@@ -151,13 +159,14 @@ def spectral_radius(g: BipartiteGraph) -> SpectralReport:
     every bracket.
     """
     n = g.n
-    rows, multiplicity, weights = g.x_rows, None, None
+    rows, multiplicity, weights, limit = g.x_rows, None, None, 2
     if n > _DENSE_START_MAX:
         # identical X-rows are identical rows of B: B^T B = Bd^T diag(m) Bd
         # over the distinct nonzero rows Bd and their multiplicities m
         multiplicity = _row_counts(rows)
         rows = tuple(multiplicity)
         weights = np.array(tuple(multiplicity.values()), np.float64)
+        limit = _DENSE_START_MAX
     b = None
     lo = hi = 0.0  # the largest lower and upper ends, in rho units
     star = 0  # the largest star degree
@@ -173,19 +182,23 @@ def spectral_radius(g: BipartiteGraph) -> SpectralReport:
             star = max(star, multiplicity[block])
             continue
         gram = y_sizes = perron = None
-        if weights is not None:
-            split = _twin_classes(block, block_rows.get(block, rows))
-            if split is not None:
-                if len(split[0]) <= 2:
-                    value, upper = _certified_root(*_two_class_coeffs(*split, multiplicity))
-                    lo, hi = max(lo, value), max(hi, upper)
-                    continue
-                gram, y_sizes = _twin_quotient(*split, multiplicity)
-                # G diag(m_y) is similar to the symmetric diag(sqrt m_y) G
-                # diag(sqrt m_y), whose Perron vector u gives v = u / sqrt m_y
-                root = np.sqrt(y_sizes)
-                perron = np.abs(np.linalg.eigh(gram * np.outer(root, root))[1][:, -1]) / root
-                gram = gram * y_sizes
+        split = _twin_classes(block, block_rows.get(block, rows), limit)
+        if split is not None:
+            classes, inside = split
+            if len(classes) <= 2:
+                counts = multiplicity
+                if weights is None:  # the inside rows may repeat: count them
+                    inside = counts = Counter(inside)
+                value, upper = _certified_root(*_two_class_coeffs(classes, inside, counts))
+                lo, hi = max(lo, value), max(hi, upper)
+                continue
+            # more than two classes: n > _DENSE_START_MAX, so the rows carry weights
+            gram, y_sizes = _twin_quotient(classes, inside, multiplicity)
+            # G diag(m_y) is similar to the symmetric diag(sqrt m_y) G
+            # diag(sqrt m_y), whose Perron vector u gives v = u / sqrt m_y
+            root = np.sqrt(y_sizes)
+            perron = np.abs(np.linalg.eigh(gram * np.outer(root, root))[1][:, -1]) / root
+            gram = gram * y_sizes
         if gram is None:
             if b is None:
                 b = _biadjacency(rows, n)
@@ -293,12 +306,15 @@ def _rows_of_blocks(blocks: list[int], rows: tuple[int, ...]) -> dict[int, list[
     return grouped
 
 
-def _twin_classes(block: int, rows: Iterable[int]) -> tuple[list[int], list[int]] | None:
+def _twin_classes(
+    block: int, rows: Iterable[int], limit: int
+) -> tuple[list[int], list[int]] | None:
     """The Y-twin classes of a block and the rows inside it, or None if the
-    block has more than _DENSE_START_MAX classes.
+    block has more than limit classes.
 
-    rows holds distinct nonzero X-rows, among them every row inside the
-    block (the others are skipped).  Y-vertices with equal columns (twins)
+    rows holds X-rows, among them every row inside the block (the others
+    are skipped); a row that repeats there repeats among the inside rows.
+    Y-vertices with equal columns (twins)
     form an equitable partition of B^T B (Brouwer and Haemers, Spectra of
     Graphs, sec. 2.3).  The classes start as the block and are split by
     each row that meets it, as bitsets; the split stops as soon as there
@@ -318,7 +334,7 @@ def _twin_classes(block: int, rows: Iterable[int]) -> tuple[list[int], list[int]
             inside = members & row
             if inside and inside != members:
                 count += 1
-                if count > _DENSE_START_MAX:
+                if count > limit:
                     return None
                 split += (inside, members ^ inside)
             else:
@@ -373,16 +389,15 @@ def _class_quotient_coeffs(g: BipartiteGraph) -> tuple[int, int] | None:
     """Exact (c2, c0) of g's Y-twin class quotient, whose x^4 - c2 x^2 + c0
     has rho(g) as its largest root, when g's non-isolated Y-vertices form
     one block of at most two twin classes; else None.  These are the steps
-    spectral_radius takes on such a block above _DENSE_START_MAX, at any n.
+    spectral_radius takes on such a block, with the rows counted as it
+    counts them above _DENSE_START_MAX, at any n.
     """
     multiplicity = _row_counts(g.x_rows)
     blocks = _y_components(tuple(multiplicity))
     if len(blocks) != 1:
         return None
-    split = _twin_classes(blocks[0], multiplicity)
-    if split is None or len(split[0]) > 2:
-        return None
-    return _two_class_coeffs(*split, multiplicity)
+    split = _twin_classes(blocks[0], multiplicity, 2)
+    return None if split is None else _two_class_coeffs(*split, multiplicity)
 
 
 # Row i holds the bits of byte value i, least significant first, as float64.

@@ -42,14 +42,19 @@ def test_criterion_1_spectral_consistency():
     cases = run_campaign("spectral-consistency", config).cases
     worst = max(c["values"]["diff"] for c in cases)
     outside = sum(not c["ok"] for c in cases)
+    # every n here is at most 16, where the graph's one block of two
+    # Y-twin classes is decided in closed form: the class quotient read off
+    # the graph must give biquadratic_coeffs's root, bit for bit
+    iterated = sum(c["values"]["method"] != "quotient-closed-form" for c in cases)
     elapsed = time.perf_counter() - started
     report(
         1,
         "spectral consistency",
-        len(cases) == 15 and worst <= 1e-7 and outside == 0,
+        len(cases) == 15 and worst == 0 and outside == 0 and iterated == 0,
         elapsed,
         5.0,
-        f"{len(cases)} grid points, worst diff {worst:.2e}, {outside} closed forms outside the bracket",
+        f"{len(cases)} grid points, worst diff {worst:.2e}, {outside} closed forms outside "
+        f"the bracket, {iterated} iterated",
     )
 
 

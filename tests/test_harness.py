@@ -174,6 +174,11 @@ class TestCampaigns:
         report = run_campaign("spectral-consistency", config)
         assert report.failed == 0
         assert all(c["values"]["residual"] < 1e-10 for c in report.cases)
+        assert all(
+            (c["values"]["method"], c["values"]["iterations"], c["values"]["diff"])
+            == ("quotient-closed-form", 0, 0)
+            for c in report.cases
+        )
 
         def shifted(g):
             r = real(g)
@@ -309,12 +314,21 @@ class TestCLI:
         return main(list(argv))
 
     def test_build_and_rho_roundtrip(self, tmp_path, capsys):
+        # B_{4,2} is one block of two Y-twin classes: the closed form; the
+        # staircase with rows 1, 3, 7 has three classes and iterates
         path = tmp_path / "b.txt"
         assert self.run("build-extremal", "--n", "4", "--k", "2", "--out", str(path)) == 0
         assert self.run("rho", "--in", str(path)) == 0
         report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-        assert report["method"] == "power-iteration"
+        assert report["method"] == "quotient-closed-form"
         assert abs(report["value"] - 3.502325127302632) < 1e-7
+        path = tmp_path / "s.txt"
+        fileio.write_graph(path, BipartiteGraph(3, (0b001, 0b011, 0b111)))
+        assert self.run("rho", "--in", str(path)) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["method"] == "power-iteration"
+        # rho^2 is the largest root of t^3 - 6 t^2 + 5 t - 1
+        assert abs(report["value"] - 2.2469796037174663) < 1e-7
 
     @pytest.mark.parametrize("n", [20])
     def test_rho_quotient_on_labeled_copies(self, tmp_path, capsys, n):

@@ -121,9 +121,16 @@ class TestPowerIteration:
         assert spectral_radius(g).value == pytest.approx(math.sqrt(12), abs=1e-7)
 
     def test_extremal_4_2_against_dense_oracle(self):
+        # B_{4,2} is one block of two Y-twin classes, decided in closed form;
+        # the staircase's four Y-vertices are four classes, so it iterates
         g = build_extremal(4, 2)
         report = spectral_radius(g)
         assert report.value == pytest.approx(RHO_B_4_2, abs=1e-7)
+        assert report.value == pytest.approx(dense_rho(g), abs=1e-7)
+        assert report.method == "quotient-closed-form"
+        assert report.residual < 1e-10
+        g = staircase(4)
+        report = spectral_radius(g)
         assert report.value == pytest.approx(dense_rho(g), abs=1e-7)
         assert report.method == "power-iteration"
         assert report.residual < 1e-10
@@ -255,10 +262,13 @@ class TestPowerIteration:
         assert_bracket_contains(g, report)
 
     def test_iteration_totals_of_dense_started_blocks_pinned(self, rng):
-        # every block here has at most 8 Y-vertices and starts from eigh's
-        # Perron vector; the benchmark's shift-audit work count sums such
+        # every block here has at most 8 Y-vertices; one of three or more
+        # Y-twin classes starts from eigh's Perron vector, one of at most two
+        # takes no product.  The benchmark's shift-audit work count sums such
         # calls, so a change to the dense-block product must not move these
-        # totals unseen (both measured on the matrix-free loop before it
+        # totals unseen.  Before blocks of at most two classes were decided
+        # in closed form at n <= 16 too, they iterated and the totals were
+        # 910 and 214 (both also measured on the matrix-free loop before it
         # took its products on the formed Gram matrix)
         small = 0
         for n in range(1, 4):
@@ -266,12 +276,12 @@ class TestPowerIteration:
                 rows = tuple((code >> (n * i)) & ((1 << n) - 1) for i in range(n))
                 g = BipartiteGraph(n, rows)
                 small += spectral_radius(g).iterations + spectral_radius(g.transposed()).iterations
-        assert small == 910
+        assert small == 336
         sampled = 0
         for _ in range(300):
             n = int(rng.integers(1, 9))
             sampled += spectral_radius(random_graph(rng, n, float(rng.random()))).iterations
-        assert sampled == 214
+        assert sampled == 133
 
     @pytest.mark.parametrize(
         "n, k, p, matrix_free",
@@ -454,11 +464,12 @@ class TestPowerIteration:
             spectral_radius(path_graph(20))
 
     def test_zero_iteration_cap_raises_on_dense_started_block(self, monkeypatch):
+        # six Y-twin classes: a dense-started block, which needs a product
         import rfl.spectral
 
         monkeypatch.setattr(rfl.spectral, "MAX_ITERATIONS", 0)
         with pytest.raises(ConvergenceError):
-            spectral_radius(build_extremal(6, 2))
+            spectral_radius(staircase(6))
 
     def test_subgraph_monotone_under_edge_addition(self, rng):
         for _ in range(25):
@@ -509,10 +520,12 @@ class TestExactBrackets:
             assert_holds_rho(g, report, _class_quotient_coeffs(g))
 
     def test_dense_blocks(self, rng):
+        # n >= 4 and densities away from 0 and 1, so that most blocks have
+        # three or more Y-twin classes and iterate
         iterating = 0
         for _ in range(100):
-            n = int(rng.integers(1, _DENSE_START_MAX + 1))
-            g = random_graph(rng, n, float(rng.random()))
+            n = int(rng.integers(4, _DENSE_START_MAX + 1))
+            g = random_graph(rng, n, 0.2 + 0.6 * float(rng.random()))
             report = spectral_radius(g)
             iterating += report.iterations > 0
             assert_holds_rho(g, report)
@@ -566,8 +579,9 @@ class TestExactBrackets:
                         assert_holds_rho(h, report, biquadratic_coeffs(n, k, p))
 
     def test_extremal_join_and_labeled_graphs(self):
-        # every n <= _DENSE_START_MAX, where their blocks iterate; the
-        # labeled copies deficient in X and in Y; each transposed too
+        # every n <= _DENSE_START_MAX, where their blocks of two Y-twin
+        # classes are decided in closed form as above it; the labeled copies
+        # deficient in X and in Y; each transposed too
         for k in range(2, _DENSE_START_MAX // 2 + 1):
             for n in range(2 * k, _DENSE_START_MAX + 1):
                 for p in range(k, n):
@@ -589,6 +603,80 @@ class TestExactBrackets:
                             assert_holds_rho(t, spectral_radius(t), coeffs)
 
 
+def two_class_graph(rng, n: int) -> BipartiteGraph:
+    """A random graph whose non-isolated Y-vertices form at most two twin
+    classes: a random part of Y is split in two, and each X-row is one
+    class, the other, both or empty."""
+    label = rng.integers(0, 3, n)  # class 1, class 2, or isolated
+    c1, c2 = (sum(1 << j for j in range(n) if label[j] == c) for c in (0, 1))
+    return BipartiteGraph(n, tuple((c1, c2, c1 | c2, 0)[int(i)] for i in rng.integers(0, 4, n)))
+
+
+class TestSmallClosedForm:
+    # at n <= _DENSE_START_MAX too, a block of at most two Y-twin classes
+    # takes no product and is bracketed by _certified_root
+    def test_closed_form_reports_hold_rho(self, rng):
+        # every graph with n <= 3 and its transpose, then random graphs up
+        # to n = 16, half of them of at most two classes; each report that
+        # took no product is checked by the exact oracle, and more than 1000
+        # of them have a block of two or more Y-vertices
+        graphs = []
+        for n in range(1, 4):
+            for code in range(1 << (n * n)):
+                g = BipartiteGraph(n, tuple((code >> (n * i)) & ((1 << n) - 1) for i in range(n)))
+                graphs += [g, g.transposed()]
+        for trial in range(1000):
+            n = int(rng.integers(2, _DENSE_START_MAX + 1))
+            if trial % 2:
+                graphs.append(random_graph(rng, n, float(rng.random())))
+            else:
+                graphs.append(two_class_graph(rng, n))
+        checked = 0
+        for g in graphs:
+            report = spectral_radius(g)
+            if report.iterations == 0:
+                assert report.method == "quotient-closed-form"
+                assert_holds_rho(g, report)
+                checked += any(block & (block - 1) for block in _y_components(g.x_rows))
+        assert checked > 1000
+
+    def test_extremal_graphs_match_the_closed_form_bit_for_bit(self, rng):
+        # B_{n,k}, a copy with both parts relabelled at random, and its
+        # transpose: no product, and quotient_spectral_radius's bracket
+        for n in range(4, _DENSE_START_MAX + 1):
+            for k in range(2, n // 2 + 1):
+                closed = quotient_spectral_radius(ExtremalParams(n, k))
+                g = build_extremal(n, k)
+                xs, ys = rng.permutation(n) + 1, rng.permutation(n) + n + 1
+                perm = {i + 1: int(x) for i, x in enumerate(xs)}
+                perm.update({n + i + 1: int(y) for i, y in enumerate(ys)})
+                for h in (g, g.relabeled(perm), g.transposed()):
+                    report = spectral_radius(h)
+                    assert report.iterations == 0, (n, k)
+                    assert report == closed, (n, k)
+
+    def test_two_class_block_beside_a_three_class_block(self):
+        # Y-vertices 1..6 on X-vertices 1..6: K_{6,6} minus one edge, two
+        # classes; Y-vertices 7..12: a staircase on X-vertices 7..12, six
+        # classes.  The report takes the staircase block's products, and
+        # only those, and the larger two-class block's closed-form ends
+        n, a = 12, 6
+        top = (1 << a) - 1
+        two = [top] * (a - 1) + [top >> 1]
+        stairs = [((1 << i) - 1) << a for i in range(1, n - a + 1)]
+        g = BipartiteGraph(n, tuple(two + stairs))
+        alone = spectral_radius(BipartiteGraph(n, tuple([0] * a + stairs)))
+        assert alone.iterations > 0
+        report = spectral_radius(g)
+        assert report.iterations == alone.iterations
+        assert report.method == "power-iteration"
+        # classes Y1..Y5 and Y6: G = [[6, 5], [5, 5]], class sizes 5 and 1
+        value, upper = _certified_root(6 * 5 + 5 * 1, (6 * 5 - 5 * 5) * 5 * 1)
+        assert (report.value, report.value + report.residual) == (value, upper)
+        assert value > alone.value + alone.residual
+        assert_holds_rho(g, report)
+
+
 class TestTwinQuotient:
     @staticmethod
     def from_columns(n: int, columns: list[int]) -> BipartiteGraph:
@@ -604,7 +692,7 @@ class TestTwinQuotient:
         count = Counter(g.x_rows)
         count.pop(0, None)
         return [
-            (_twin_classes(block, tuple(count)), count)
+            (_twin_classes(block, tuple(count), _DENSE_START_MAX), count)
             for block in _y_components(tuple(count))
             if block.bit_count() > 1
         ]
