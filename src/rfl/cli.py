@@ -15,14 +15,12 @@ import sys
 
 from . import fileio
 from .construction import construct_rainbow_factor_extremal
-from .factors import ABSENT, FOUND, rainbow_k_factor_search
+from .factors import ABSENT, DEFAULT_BUDGET, FOUND, rainbow_k_factor_search
 from .flow import k_factor_exists
 from .graphs import ExtremalParams, GraphError, GraphFamily, build_extremal, build_join
 from .harness import CAMPAIGNS, ExperimentConfig, run_campaign
 from .shifting import shift_family
 from .spectral import ConvergenceError, InconsistencyError, spectral_radius
-
-SEARCH_BUDGET = 1_000_000  # find-rainbow-factor's node budget without --budget
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -67,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("find-rainbow-factor", help="search or construct a rainbow k-factor")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument(
-        "--budget", type=int, default=None, help=f"search node budget (default {SEARCH_BUDGET:,})"
+        "--budget", type=int, default=None, help=f"search node budget (default {DEFAULT_BUDGET:,})"
     )
     p.add_argument("--construct", action="store_true", help="run the constructor, not the search")
     p.set_defaults(handler=_cmd_find_rainbow_factor)
@@ -137,7 +135,7 @@ def _cmd_find_rainbow_factor(args) -> int:
     if args.construct:
         status, assignment = FOUND, construct_rainbow_factor_extremal(family).assignment
     else:
-        budget = SEARCH_BUDGET if args.budget is None else args.budget
+        budget = DEFAULT_BUDGET if args.budget is None else args.budget
         result = rainbow_k_factor_search(family, budget=budget)
         status, assignment = result.status, result.assignment
         out["search"] = {"status": status, **result.summary()}

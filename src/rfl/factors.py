@@ -35,7 +35,9 @@ odd cyclic squares, for one, and most even ones with a few edges added,
 which the tree still has to exhaust.
 
 Absence is otherwise only reported when the tree has been exhausted;
-running out of node budget is a distinct third status.
+running out of node budget is a distinct third status.  One search object
+(``_Search``) holds the placements, which are also its undo log, and the
+counters that ``SearchResult`` reports.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ FOUND = "found"
 ABSENT = "absent"
 BUDGET_EXHAUSTED = "budget-exhausted"
 
-DEFAULT_BUDGET = 10_000_000
+DEFAULT_BUDGET = 2_000_000
 
 if TYPE_CHECKING:
     from .lattice import Witness
@@ -193,7 +195,7 @@ def rainbow_k_factor_search(family: GraphFamily, budget: int = DEFAULT_BUDGET) -
     k sum f + k sum g + sum h not integral.  Any factor would make that sum
     integral.  ``witness`` is None on every other result.
     """
-    return _search(family, budget)
+    return _Search(family, budget).run()
 
 
 def rainbow_perfect_matching_search(
@@ -205,55 +207,69 @@ def rainbow_perfect_matching_search(
     members = tuple(members)
     if not members:
         raise GraphError("empty member list")
-    n = members[0].n
-    if len(members) != n:
-        raise GraphError(f"need exactly n = {n} graphs, got {len(members)}")
-    return _search(GraphFamily(n, 1, members), budget)
+    return rainbow_k_factor_search(GraphFamily(members[0].n, 1, members), budget)
 
 
-def _search(family: GraphFamily, budget: int) -> SearchResult:
-    n, k, members = family.n, family.k, family.members
-    classes: dict[tuple[int, ...], list[int]] = {}  # rows -> member indices
-    for i, g in enumerate(members, start=1):
-        classes.setdefault(g.x_rows, []).append(i)
-    class_rows = list(classes)
-    sizes = [len(ix) for ix in classes.values()]
-    need = list(sizes)  # members each class has left to serve
+class _Search:
+    """One exact search: the classes, the placements made so far and the
+    counters.  ``chosen`` lists the placements in order and is the undo log:
+    ``branch`` pushes a child's placements onto it and pops them when the
+    child fails."""
 
-    # Vertices are 0-based within their part; X-vertex x and Y-vertex y are
-    # joined by edge (x, y).  A vertex is open while its deficit is positive.
-    deficit_x = [k] * n
-    deficit_y = [k] * n
-    used_rows = [0] * n  # bit y of used_rows[x] <=> edge (x, y) is taken
-    chosen: list[tuple[int, int, int]] = []  # (class, x, y)
-    nodes = orbit_skips = automorphisms = flow_cuts = 0
-    finder: _Symmetry | None = None
-    lattice_tried = False
+    def __init__(self, family: GraphFamily, budget: int):
+        self.family, self.budget = family, budget
+        n, k = self.n, self.k = family.n, family.k
+        self.classes: dict[tuple[int, ...], list[int]] = {}  # rows -> member indices
+        for i, g in enumerate(family.members, start=1):
+            self.classes.setdefault(g.x_rows, []).append(i)
+        self.class_rows = list(self.classes)
+        self.sizes = [len(ix) for ix in self.classes.values()]
+        self.need = list(self.sizes)  # members each class has left to serve
+        # Vertices are 0-based within their part; X-vertex x and Y-vertex y are
+        # joined by edge (x, y).  A vertex is open while its deficit is positive.
+        self.deficit_x = [k] * n
+        self.deficit_y = [k] * n
+        self.used_rows = [0] * n  # bit y of used_rows[x] <=> edge (x, y) is taken
+        self.chosen: list[tuple[int, int, int]] = []  # (class, x, y)
+        self.nodes = self.orbit_skips = self.automorphisms = self.flow_cuts = 0
+        self.finder: _Symmetry | None = None  # built at the first orbit search
+        self.lattice_tried = False
 
-    def place(c: int, x: int, y: int) -> None:
-        need[c] -= 1
-        deficit_x[x] -= 1
-        deficit_y[y] -= 1
-        used_rows[x] |= 1 << y
-        chosen.append((c, x, y))
+    def run(self) -> SearchResult:
+        status, assignment, witness = ABSENT, None, None
+        try:
+            if self.descend(0):
+                slots = [iter(ix) for ix in self.classes.values()]
+                pairs = ((next(slots[c]), (x + 1, self.n + y + 1)) for c, x, y in self.chosen)
+                assignment = tuple(sorted(pairs))
+                RainbowFactor(self.n, self.k, assignment).validate(self.family)
+                status = FOUND
+        except _Budget:
+            # a budget spent before any child failed still asks the certificate
+            witness = self.certificate()
+            if witness is None:
+                status = BUDGET_EXHAUSTED
+        except _Certified as certified:
+            witness = certified.args[0]
+        if witness is not None:
+            f, g, h = witness
+            per_class = dict(zip(self.class_rows, h))  # h per member, from its class
+            witness = (f, g, tuple(per_class[member.x_rows] for member in self.family.members))
+        counters = (self.nodes, self.orbit_skips, self.automorphisms, self.flow_cuts)
+        return SearchResult(status, assignment, *counters, witness)
 
-    def unplace(c: int, x: int, y: int) -> None:
-        chosen.pop()
-        used_rows[x] &= ~(1 << y)
-        deficit_y[y] += 1
-        deficit_x[x] += 1
-        need[c] += 1
-
-    def descend(depth: int) -> bool:
-        nonlocal nodes, flow_cuts
-        if nodes >= budget:
+    def descend(self, depth: int) -> bool:
+        if self.nodes >= self.budget:
             raise _Budget
-        nodes += 1
+        self.nodes += 1
+        # the hot lists as locals: attribute lookups cost more in the loops
+        n, need, class_rows = self.n, self.need, self.class_rows
+        deficit_x, deficit_y = self.deficit_x, self.deficit_y
         open_x = [x for x in range(n) if deficit_x[x]]
         if not open_x:
             return True
         mask_y = sum(1 << y for y in range(n) if deficit_y[y])
-        free_rows = [mask_y & ~used for used in used_rows]
+        free_rows = [mask_y & ~used for used in self.used_rows]
         open_rows = [(x, free_rows[x]) for x in open_x]
         live = [c for c in range(len(need)) if need[c]]
 
@@ -286,7 +302,7 @@ def _search(family: GraphFamily, budget: int) -> SearchResult:
         # The free edges together must meet every deficit, on both sides.
         flow = _exact_degree(reach_x, deficit_x, deficit_y)
         if flow is None:
-            flow_cuts += 1
+            self.flow_cuts += 1
             return False
 
         # the flow's edges meet every deficit, so children on them come first
@@ -304,48 +320,57 @@ def _search(family: GraphFamily, budget: int) -> SearchResult:
             options = [(c, item, y) for y in ys for c in live if class_rows[c][item] >> y & 1]
             children = _vertex_children(options, deficit_x[item], need)
         for combo in children:
-            if branch(combo, depth + 1):
+            if self.branch(combo, depth + 1):
                 return True
             # Orbit pruning at the root and its children only: deeper, the
             # placements made leave no symmetry on the families measured
             # (cyclic squares of orders 8-12 prune nothing more), and a map
             # search at every failed node costs more than it saves.
             if depth <= 1:
-                return prune_orbits(combo, list(children), kind == "class", depth)
+                return self.prune_orbits(combo, list(children), kind == "class", depth)
         return False
 
-    def branch(combo: tuple, depth: int) -> bool:
-        for option in combo:
-            place(*option)
-        if descend(depth):
+    def branch(self, combo: tuple, depth: int) -> bool:
+        """Place the child's edges and search below; take them back if it fails."""
+        need, used_rows = self.need, self.used_rows
+        deficit_x, deficit_y = self.deficit_x, self.deficit_y
+        for c, x, y in combo:
+            need[c] -= 1
+            deficit_x[x] -= 1
+            deficit_y[y] -= 1
+            used_rows[x] |= 1 << y
+        self.chosen += combo
+        if self.descend(depth):
             return True
-        for option in reversed(combo):
-            unplace(*option)
+        del self.chosen[-len(combo) :]
+        for c, x, y in reversed(combo):
+            used_rows[x] &= ~(1 << y)
+            deficit_y[y] += 1
+            deficit_x[x] += 1
+            need[c] += 1
         # The first failed child, wherever it is, asks once whether the whole
         # family's integer relaxation is solvable: a search that goes straight
         # down to a factor never pays for it.
-        witness = certificate()
+        witness = self.certificate()
         if witness is not None:
             raise _Certified(witness)
         return False
 
-    def certificate() -> Witness | None:
+    def certificate(self) -> Witness | None:
         """The lattice witness, on the first call only.  Imported here, so a
         process whose searches never fail a child never loads the lattice
         code."""
-        nonlocal lattice_tried
-        if lattice_tried:
+        if self.lattice_tried:
             return None
-        lattice_tried = True
+        self.lattice_tried = True
         from .lattice import lattice_witness
 
-        return lattice_witness(n, k, class_rows, sizes)
+        return lattice_witness(self.n, self.k, self.class_rows, self.sizes)
 
-    def prune_orbits(failed: tuple, later: list, transpose: bool, depth: int) -> bool:
+    def prune_orbits(self, failed: tuple, later: list, transpose: bool, depth: int) -> bool:
         """Try the siblings ``later`` of the failed child ``failed`` in order,
         skipping each that a verified map fixing the placements made so far
         sends a failed child onto."""
-        nonlocal orbit_skips, automorphisms
         dead: set[frozenset] = set()
         maps: list[tuple] = []
         i = 0
@@ -354,51 +379,22 @@ def _search(family: GraphFamily, budget: int) -> SearchResult:
             _close(dead, maps)
             for other in later[i:]:
                 if frozenset(other) not in dead:
-                    g = symmetry().map_between(chosen, failed, other, transpose)
+                    if self.finder is None:
+                        self.finder = _Symmetry(self.n, self.class_rows, self.sizes)
+                    g = self.finder.map_between(self.chosen, failed, other, transpose)
                     if g is not None:
-                        automorphisms += 1
+                        self.automorphisms += 1
                         maps.append(g)
                         _close(dead, maps)
             while i < len(later) and frozenset(later[i]) in dead:
-                orbit_skips += 1
+                self.orbit_skips += 1
                 i += 1
             if i == len(later):
                 return False
             failed = later[i]
             i += 1
-            if branch(failed, depth + 1):
+            if self.branch(failed, depth + 1):
                 return True
-
-    def symmetry() -> _Symmetry:
-        nonlocal finder
-        if finder is None:
-            finder = _Symmetry(n, class_rows, sizes)
-        return finder
-
-    def result(status: str, assignment=None, witness=None) -> SearchResult:
-        return SearchResult(
-            status, assignment, nodes, orbit_skips, automorphisms, flow_cuts, witness
-        )
-
-    try:
-        found = descend(0)
-    except _Budget:
-        # a budget spent before any child failed still asks the certificate
-        witness = certificate()
-        if witness is None:
-            return result(BUDGET_EXHAUSTED)
-    except _Certified as certified:
-        witness = certified.args[0]
-    else:
-        if not found:
-            return result(ABSENT)
-        slots = [iter(ix) for ix in classes.values()]
-        factor = tuple(sorted((next(slots[c]), (x + 1, n + y + 1)) for c, x, y in chosen))
-        RainbowFactor(n, k, factor).validate(family)
-        return result(FOUND, factor)
-    f, g, h = witness
-    index = {rows: c for c, rows in enumerate(class_rows)}  # h per member, from its class
-    return result(ABSENT, witness=(f, g, tuple(h[index[member.x_rows]] for member in members)))
 
 
 def _vertex_children(options: list, d: int, need: list[int]):

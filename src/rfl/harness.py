@@ -18,7 +18,7 @@ import numpy as np
 
 from . import fileio
 from .construction import construct_rainbow_factor_extremal
-from .factors import ABSENT, FOUND, audit_shifted_family, rainbow_k_factor_search
+from .factors import ABSENT, DEFAULT_BUDGET, FOUND, audit_shifted_family, rainbow_k_factor_search
 from .flow import k_factor_exists
 from .graphs import (
     BipartiteGraph,
@@ -49,7 +49,7 @@ class ExperimentConfig:
     n_range: tuple[int, int] = (4, 8)
     k_range: tuple[int, int] = (2, 4)
     trials: int = 100
-    search_budget: int = 2_000_000
+    search_budget: int = DEFAULT_BUDGET
 
     def __post_init__(self):
         if self.trials < 1:

@@ -145,7 +145,7 @@ class TestLeftoverBlocks:
 
             return record
 
-        for name in ("rainbow_perfect_matching_search", "rainbow_k_factor_search", "_search"):
+        for name in ("rainbow_perfect_matching_search", "rainbow_k_factor_search", "_Search"):
             monkeypatch.setattr(factors, name, spy(name))
         # every flow call, direct or through rfl.flow's public functions
         flow_calls = []

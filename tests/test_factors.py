@@ -9,6 +9,7 @@ from rfl.construction import construct_rainbow_factor_extremal
 from rfl.factors import (
     ABSENT,
     BUDGET_EXHAUSTED,
+    DEFAULT_BUDGET,
     FOUND,
     RainbowFactor,
     audit_shifted_family,
@@ -262,8 +263,10 @@ class TestRainbowSearch:
             assert list(_vertex_children(options, d, need)) == expected
 
     def test_rejects_wrong_family_size(self):
-        with pytest.raises(GraphError):
-            rainbow_perfect_matching_search([BipartiteGraph.complete(3)] * 2)
+        # n - 1 members of half-order n, and none
+        for members in ([BipartiteGraph.complete(3)] * 2, []):
+            with pytest.raises(GraphError):
+                rainbow_perfect_matching_search(members)
 
     def test_rejects_member_of_another_half_order(self):
         members = [BipartiteGraph.complete(3)] * 2 + [BipartiteGraph.complete(4)]
@@ -461,6 +464,29 @@ class TestAdversarialFamilies:
         assert runs[0].orbit_skips > 0 and runs[0].automorphisms > 0
         certified = [rainbow_perfect_matching_search(cyclic_latin(8)) for _ in range(2)]
         assert certified[0] == certified[1] and certified[0].witness is not None
+
+    @pytest.mark.parametrize(
+        "n, orbit, budget, status, counters",
+        [
+            (8, (0, 6, 0), DEFAULT_BUDGET, ABSENT, (344, 6, 2, 36)),
+            (10, (4, 8, 7), DEFAULT_BUDGET, ABSENT, (6_769, 11, 3, 699)),
+            (10, (4, 8, 7), 1_000, BUDGET_EXHAUSTED, (1_000, 0, 0, 86)),
+        ],
+        ids=["8-absent", "10-absent", "10-budget"],
+    )
+    def test_counters_pinned(self, n, orbit, budget, status, counters):
+        # the exact counters of searches the lattice does not decide, so a
+        # change to the search's bookkeeping that alters any of them shows
+        result = rainbow_perfect_matching_search(cyclic_latin(n, [orbit]), budget=budget)
+        nodes, orbit_skips, automorphisms, flow_cuts = counters
+        assert result.status == status and result.assignment is None
+        assert result.summary() == {
+            "nodes": nodes,
+            "orbit_skips": orbit_skips,
+            "automorphisms": automorphisms,
+            "flow_cuts": flow_cuts,
+            "witness": None,
+        }
 
 
 class TestLatticeCertificate:
