@@ -12,6 +12,19 @@ scans and branches on the X side only.  The subgraph the flow finds also
 orders the node's children, its edges first: value ordering by a
 relaxation's solution, as in constraint programming.
 
+A rainbow factor is two matchings at once: a k-regular subgraph, and a
+matching of its edges to distinct members.  The flow solves the first; until
+a child first fails, a second flow then tries the second on the flow's own
+edges, matching each edge to one live class that holds it and each class to
+as many edges as it has members left (``SearchResult.colourings`` counts
+the tries).  If that colouring exists the search ends at that node with a
+factor, so a search whose first dive would reach one often ends at the
+root.  Past the first failed child the search may be exhausting a tree with
+no factor, where every colouring fails, so none is tried there.  Colouring
+at every node made the order-10 cyclic square with the edge orbit
+(4, 8, 7) added (ABSENT in 6,769 nodes) about 1.5 times slower, and cut
+the nodes of 1,221 random FOUND families by 5% only.
+
 Orbit pruning (McKay, "Isomorph-free exhaustive generation", J. Algorithms
 1998) removes much of the family's remaining symmetry.  An automorphism of
 the family is a permutation of X and one of Y, optionally composed with the
@@ -116,6 +129,7 @@ class SearchResult:
     orbit_skips: int = 0  # children skipped as images of a failed sibling
     automorphisms: int = 0  # verified family automorphisms found
     flow_cuts: int = 0  # nodes whose free edges cannot meet the deficits
+    colourings: int = 0  # flow subgraphs offered to the classes as a whole
     witness: Witness | None = None  # per member, when the integer relaxation decided
 
     def factor(self, n: int, k: int) -> RainbowFactor:
@@ -137,6 +151,7 @@ class SearchResult:
             "orbit_skips": self.orbit_skips,
             "automorphisms": self.automorphisms,
             "flow_cuts": self.flow_cuts,
+            "colourings": self.colourings,
             "witness": witness,
         }
 
@@ -169,6 +184,14 @@ def rainbow_k_factor_search(family: GraphFamily, budget: int = DEFAULT_BUDGET) -
     over all open X-vertices, then the rest.  The flow's subgraph meets
     every deficit, so a factor often lies below its edges; only the order
     changes, and an ABSENT search still visits every child.
+
+    Until a child first fails, a node whose flow succeeds also asks whether
+    the live classes can take that flow's edges outright: each edge to one
+    class holding it, class c to as many edges as it has members left, a
+    second flow with the edges on one side and the classes on the other.  If
+    they can, those placements complete a factor and the search returns it
+    from that node; if not, the node branches as above.  ``colourings``
+    counts the tries, so it is at most the depth of the first dive.
 
     At the root and its children, once a child fails and siblings remain,
     the search looks for family automorphisms that fix the placements made
@@ -231,7 +254,14 @@ class _Search:
         self.deficit_y = [k] * n
         self.used_rows = [0] * n  # bit y of used_rows[x] <=> edge (x, y) is taken
         self.chosen: list[tuple[int, int, int]] = []  # (class, x, y)
+        # bit c of cell_classes[x][y] <=> class c holds edge (x, y)
+        self.cell_classes = [[0] * n for _ in range(n)]
+        for c, rows in enumerate(self.class_rows):
+            for x, row in enumerate(rows):
+                for y in _bits(row):
+                    self.cell_classes[x][y] |= 1 << c
         self.nodes = self.orbit_skips = self.automorphisms = self.flow_cuts = 0
+        self.colourings = 0
         self.finder: _Symmetry | None = None  # built at the first orbit search
         self.lattice_tried = False
 
@@ -256,7 +286,7 @@ class _Search:
             per_class = dict(zip(self.class_rows, h))  # h per member, from its class
             witness = (f, g, tuple(per_class[member.x_rows] for member in self.family.members))
         counters = (self.nodes, self.orbit_skips, self.automorphisms, self.flow_cuts)
-        return SearchResult(status, assignment, *counters, witness)
+        return SearchResult(status, assignment, *counters, self.colourings, witness)
 
     def descend(self, depth: int) -> bool:
         if self.nodes >= self.budget:
@@ -304,6 +334,9 @@ class _Search:
         if flow is None:
             self.flow_cuts += 1
             return False
+        # on the first dive only (see the module docstring)
+        if not self.lattice_tried and self.colour(flow):
+            return True
 
         # the flow's edges meet every deficit, so children on them come first
         kind, item = best
@@ -329,6 +362,21 @@ class _Search:
             if depth <= 1:
                 return self.prune_orbits(combo, list(children), kind == "class", depth)
         return False
+
+    def colour(self, flow: list[int]) -> bool:
+        """Whether the live classes can take the flow's edges, class c exactly
+        need[c] of them and each edge once: a b-matching of edges to classes,
+        perfect since the needs sum to the edges.  On success its placements
+        go onto ``chosen``."""
+        self.colourings += 1
+        need, cell_classes = self.need, self.cell_classes
+        live = sum(1 << c for c, left in enumerate(need) if left)
+        edges = [(x, y) for x, row in enumerate(flow) for y in _bits(row)]
+        picks = _exact_degree([cell_classes[x][y] & live for x, y in edges], [1] * len(edges), need)
+        if picks is None:
+            return False
+        self.chosen += [(pick.bit_length() - 1, x, y) for pick, (x, y) in zip(picks, edges)]
+        return True
 
     def branch(self, combo: tuple, depth: int) -> bool:
         """Place the child's edges and search below; take them back if it fails."""

@@ -59,7 +59,9 @@ def k_factor_exists(g: BipartiteGraph, k: int) -> bool:
 
 
 def _exact_degree(rows, caps_x: list[int], caps_y: list[int]) -> list[int] | None:
-    """Rows of a subgraph of `rows` with the exact degrees, or None."""
+    """Rows of a subgraph of `rows` with the exact degrees, or None.  Row i
+    is X-vertex i and bit j Y-vertex j; the parts may differ in size, as
+    len(caps_x) and len(caps_y) give them."""
     if sum(caps_x) != sum(caps_y):
         return None
     return _augment(rows, _greedy(rows, caps_x, caps_y), caps_x, caps_y)
@@ -93,7 +95,6 @@ def _augment(rows, chosen: list[int], caps_x: list[int], caps_y: list[int]) -> l
     """Complete `chosen`, any subgraph of `rows` with degrees at most the
     caps (whose sums agree), to exact degrees by shortest augmenting paths;
     None if it cannot be completed."""
-    n = len(rows)
     chosen = list(chosen)
     left_x = [cap - row.bit_count() for cap, row in zip(caps_x, chosen)]
     sources = 0  # the X-vertices below their degree
@@ -102,7 +103,7 @@ def _augment(rows, chosen: list[int], caps_x: list[int], caps_y: list[int]) -> l
             sources |= 1 << i
     if not sources:  # the cap sums agree, so every Y-degree is exact too
         return chosen
-    cols = [0] * n  # the chosen edges by Y-vertex: bit i of cols[j] <=> (i, j) chosen
+    cols = [0] * len(caps_y)  # the chosen edges by Y-vertex: bit i of cols[j] <=> (i, j) chosen
     for i, row in enumerate(chosen):
         while row:
             bit = row & -row

@@ -8,7 +8,8 @@ the complete-block, quasi-complement and bowtie-join builders that
 compose the extremal and join graphs the library writes row by row, the
 extremal signature by degrees and comparison with a built copy,
 isomorphism to the extremal graph by canonical relabeling, the exact sign
-of rho(g) - y by integer elimination, the
+of rho(g) - y by integer elimination, on the twin quotient of each
+Y-component or on the whole matrix, the
 deletion of one vertex's edges, the cyclic Latin squares with or without
 added edge orbits, the check, in Fractions, of a lattice witness that a
 family has no rainbow factor, and the k anti-diagonal perfect matchings
@@ -66,13 +67,14 @@ def brute_force_k_factor_exists(g: BipartiteGraph, k: int) -> bool:
 
 def exact_degree_exists(n: int, edges: list[Edge], caps_x: list[int], caps_y: list[int]) -> bool:
     """Oracle: whether the edges hold a subgraph where X-vertex i has degree
-    caps_x[i-1] and Y-vertex n+j degree caps_y[j-1].  By max-flow min-cut on
-    source -> X -> Y -> sink, exactly when the cap sums agree and every
-    A subset of X has sum_{x in A} caps_x <= sum_y min(caps_y, |N(y) & A|).
-    Exponential in n."""
+    caps_x[i-1] and Y-vertex n+j degree caps_y[j-1], for the X-vertices
+    1..n and the Y-vertices n+1..n+len(caps_y), so the parts may differ in
+    size.  By max-flow min-cut on source -> X -> Y -> sink, exactly when the
+    cap sums agree and every A subset of X has
+    sum_{x in A} caps_x <= sum_y min(caps_y, |N(y) & A|).  Exponential in n."""
     if sum(caps_x) != sum(caps_y):
         return False
-    nbrs = [{x for x, y in edges if y == n + j} for j in range(1, n + 1)]
+    nbrs = [{x for x, y in edges if y == n + j} for j in range(1, len(caps_y) + 1)]
     for size in range(1, n + 1):
         for a in combinations(range(1, n + 1), size):
             demand = sum(caps_x[x - 1] for x in a)
@@ -189,20 +191,51 @@ def bfs_y_components(g: BipartiteGraph) -> list[int]:
 
 
 def radius_sign(g: BipartiteGraph, y: float) -> int:
-    """Oracle: the exact sign (-1, 0 or 1) of rho(g) - y, for a float y >= 0.
+    """Oracle: the exact sign (-1, 0 or 1) of rho(g) - y, for a float y >= 0,
+    one Y-component and its twin classes at a time.
 
-    rho(g)^2 is the largest eigenvalue of B^T B, so with y = p / q in lowest
-    terms rho < y exactly when A = p^2 I - q^2 B^T B is positive definite,
-    and rho <= y exactly when A is positive semidefinite.  Both are read off
-    one fraction-free (Bareiss) elimination of A in integers, on the upper
-    triangle.  After the positive pivots taken so far, the rows P, entry
-    (i, j) holds the minor det A[P + i, P + j] and ``last`` is det A[P, P]
-    > 0, so every division is exact and each entry has the sign of the Schur
-    complement's.  All pivots positive is Sylvester's criterion: definite.
-    A negative pivot, or a zero one with a nonzero entry in its row, is a
-    Schur complement that is not semidefinite; a zero pivot on a zero row is
-    passed over, as that row and column meet no later pivot.
+    rho(g) is the largest of its components' radii, so the sign is the
+    largest of theirs.  In a component, let the Y-twin classes (equal
+    neighborhoods) have sizes D and common neighbor counts G, so that
+    B^T B = P G P^T with P the class indicator and P^T P = D.  With y = p / q,
+    p > 0, the form of A = p^2 I - q^2 B^T B is p^2 |v|^2 on the vectors that
+    sum to 0 over each class, A keeps the span of P's columns, and on
+    v = P u it is u^T (p^2 D - q^2 D G D) u.  So A is positive (semi)definite
+    exactly when that integer matrix, one row a class, is: the sign comes
+    from ``_definite_sign`` on it, as ``radius_sign_dense`` takes it from A.
     """
+    p, q = Fraction(y).as_integer_ratio()
+    if p < 0:
+        raise ValueError(f"need y >= 0, got {y}")
+    if p == 0:  # rho >= 0, and rho = 0 without edges
+        return 1 if any(g.x_rows) else 0
+    sign = -1
+    for block in bfs_y_components(g):
+        cols = Counter(
+            sum((row >> j & 1) << i for i, row in enumerate(g.x_rows))
+            for j in range(g.n)
+            if block >> j & 1
+        )
+        classes = list(cols.items())
+        a = [
+            [
+                (p * p * d if s == t else 0) - q * q * d * e * (col & other).bit_count()
+                for t, (other, e) in enumerate(classes)
+            ]
+            for s, (col, d) in enumerate(classes)
+        ]
+        sign = max(sign, _definite_sign(a))
+        if sign == 1:
+            break
+    return sign
+
+
+def radius_sign_dense(g: BipartiteGraph, y: float) -> int:
+    """Oracle: the sign of rho(g) - y, for a float y >= 0, from the whole
+    n x n matrix.  rho(g)^2 is the largest eigenvalue of B^T B, so with
+    y = p / q in lowest terms rho < y exactly when A = p^2 I - q^2 B^T B is
+    positive definite, and rho <= y exactly when A is positive
+    semidefinite."""
     p, q = Fraction(y).as_integer_ratio()
     if p < 0:
         raise ValueError(f"need y >= 0, got {y}")
@@ -212,6 +245,23 @@ def radius_sign(g: BipartiteGraph, y: float) -> int:
         [(p * p if i == j else 0) - q * q * (cols[i] & cols[j]).bit_count() for j in range(n)]
         for i in range(n)
     ]
+    return _definite_sign(a)
+
+
+def _definite_sign(a: list[list[int]]) -> int:
+    """-1 if the symmetric integer matrix a is positive definite, 0 if it is
+    only semidefinite, else 1; a is overwritten.
+
+    One fraction-free (Bareiss) elimination on the upper triangle.  After
+    the positive pivots taken so far, the rows P, entry (i, j) holds the
+    minor det a[P + i, P + j] and ``last`` is det a[P, P] > 0, so every
+    division is exact and each entry has the sign of the Schur
+    complement's.  All pivots positive is Sylvester's criterion: definite.
+    A negative pivot, or a zero one with a nonzero entry in its row, is a
+    Schur complement that is not semidefinite; a zero pivot on a zero row is
+    passed over, as that row and column meet no later pivot.
+    """
+    n = len(a)
     last, definite = 1, True
     for k in range(n):
         pivot = a[k][k]

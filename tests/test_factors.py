@@ -17,6 +17,7 @@ from rfl.factors import (
     rainbow_perfect_matching_search,
     _image,
     _schedule_edges,
+    _Search,
     _Symmetry,
     _vertex_children,
 )
@@ -30,7 +31,7 @@ from rfl.graphs import (
     _bits,
     labeled_extremal_copy,
 )
-from rfl.flow import _augment, degree_constrained_subgraph, k_factor_exists
+from rfl.flow import _augment, _exact_degree, degree_constrained_subgraph, k_factor_exists
 from rfl.harness import ExperimentConfig, _theorem_sample_families
 from rfl.lattice import lattice_witness
 from rfl.spectral import quotient_spectral_radius
@@ -161,6 +162,26 @@ class TestDegreeConstrainedSubgraph:
                 chosen = None if rows is None else [(x, y) for x, y in edges if rows[x - 1] >> (y - n - 1) & 1]
                 check_exact_degree(n, edges, caps_x, caps_y, chosen)
 
+    def test_rectangular_instances_agree_with_oracle(self, rng):
+        # as the search's colouring poses them: one row per edge, one column
+        # per class, caps 1 on the rows, with more columns than rows and fewer
+        shapes = Counter()
+        for _ in range(400):
+            rows_n, cols_n = (int(v) for v in rng.integers(1, 7, size=2))
+            rows = [int(r) for r in rng.integers(0, 1 << cols_n, size=rows_n)]
+            caps_x = [1] * rows_n if rng.random() < 0.5 else rng.integers(0, 3, size=rows_n).tolist()
+            caps_y = np.bincount(rng.integers(0, cols_n, size=sum(caps_x)), minlength=cols_n).tolist()
+            edges = [(x + 1, rows_n + y + 1) for x, row in enumerate(rows) for y in _bits(row)]
+            chosen = _exact_degree(rows, caps_x, caps_y)
+            assert (chosen is not None) == exact_degree_exists(rows_n, edges, caps_x, caps_y)
+            if chosen is not None:
+                assert len(chosen) == rows_n
+                assert all(pick & ~row == 0 for pick, row in zip(chosen, rows))
+                assert [pick.bit_count() for pick in chosen] == caps_x
+                assert [sum(pick >> y & 1 for pick in chosen) for y in range(cols_n)] == caps_y
+            shapes[(rows_n > cols_n) - (rows_n < cols_n), chosen is not None] += 1
+        assert all(shapes[side, found] >= 20 for side in (-1, 1) for found in (False, True)), shapes
+
 
 class TestRainbowFactorValidation:
     def test_accepts_two_disjoint_matchings(self):
@@ -227,8 +248,10 @@ class TestRainbowSearch:
         result.factor(4, 2).validate(family)
 
     def test_budget_exhaustion_is_not_absence(self):
-        family = GraphFamily(4, 2, (BipartiteGraph.complete(4),) * 8)
-        result = rainbow_k_factor_search(family, budget=2)
+        # a family with no factor that only the tree decides: no colouring
+        # and no lattice witness ends it within the budget
+        members = cyclic_latin(10, [(4, 8, 7)])
+        result = rainbow_perfect_matching_search(members, budget=2)
         assert result.status == BUDGET_EXHAUSTED
         assert result.assignment is None
         assert result.nodes_visited == 2  # the budget, not one more
@@ -245,6 +268,63 @@ class TestRainbowSearch:
             result = rainbow_k_factor_search(family)
             if result.status == FOUND:
                 result.factor(n, k).validate(family)
+
+    def test_found_at_the_root_validates(self):
+        # the root flow's subgraph takes distinct members: one node, one
+        # colouring, and the factor is checked against the members
+        families = [
+            GraphFamily(4, 2, (BipartiteGraph.complete(4),) * 8),
+            one_odd_family(8, 2),
+            GraphFamily(7, 1, tuple(cyclic_latin(7))),
+        ]
+        for family in families:
+            result = rainbow_k_factor_search(family)
+            assert result.status == FOUND
+            assert result.nodes_visited == result.colourings == 1
+            result.factor(family.n, family.k).validate(family)
+
+    def test_uncolourable_root_is_found_by_the_tree(self):
+        # the union is K_{2,2} and the root flow takes {(1,3), (2,4)}, whose
+        # edges only member 1 holds; the factor {(1,4), (2,3)} lies below
+        a = BipartiteGraph.from_edges(2, [(1, 3), (2, 4), (1, 4)])
+        b = BipartiteGraph.from_edges(2, [(1, 4), (2, 3)])
+        family = GraphFamily(2, 1, (a, b))
+        result = rainbow_k_factor_search(family)
+        assert result.status == FOUND and result.nodes_visited > 1
+        assert result.colourings == 1  # the root's: its first child fails
+        assert dict(result.assignment) == {1: (1, 4), 2: (2, 3)}
+        result.factor(2, 1).validate(family)
+
+    def test_colourings_stay_on_the_first_dive(self, rng, monkeypatch):
+        # the nodes entered before any child fails form one path from the
+        # root, and only they may colour
+        dive: list[int] = []
+        descend = _Search.descend
+
+        def spy(search, depth):
+            if not search.lattice_tried:
+                dive.append(depth)
+            return descend(search, depth)
+
+        monkeypatch.setattr(_Search, "descend", spy)
+        families = [
+            GraphFamily(n, 1, tuple(cyclic_latin(n, [orbit])))
+            for n, orbit in ((8, (0, 6, 0)), (6, (0, 5, 0)))
+        ]
+        families += [one_odd_family(6, 3), GraphFamily(6, 1, tuple(cyclic_latin(6)))]
+        for _ in range(200):
+            n = int(rng.integers(2, 5))
+            k = int(rng.integers(1, min(3, n) + 1))
+            members = (random_graph(rng, n, 0.2 + 0.6 * float(rng.random())) for _ in range(k * n))
+            families.append(GraphFamily(n, k, tuple(members)))
+        deeper = 0
+        for family in families:
+            dive.clear()
+            result = rainbow_k_factor_search(family)
+            assert dive == list(range(len(dive)))
+            assert result.colourings <= len(dive), (family, result)
+            deeper += result.nodes_visited > len(dive)
+        assert deeper >= 5  # searches that go on past the first dive
 
     def test_vertex_children_are_the_filtered_combinations(self, rng):
         # the reference: every d-subset of the options in combinations order,
@@ -320,7 +400,17 @@ class TestRainbowSearchAgainstOracle:
             if result.status == FOUND:
                 result.factor(n, k).validate(family)
             statuses[result.status, result.nodes_visited > 1] += 1
-        # both answers are common, and some absences need the backtracking
+        # Most of those factors the root's colouring finds.  Group tables
+        # with edge orbits added, each class twice, mostly need the tree
+        # below the root to find theirs.
+        for _ in range(320):
+            family = symmetric_family(rng, int(rng.integers(3, 5)), 2, "isotope")
+            result = rainbow_k_factor_search(family)
+            assert (result.status == FOUND) == oracle_rainbow_factor_exists(family), family
+            if result.status == FOUND:
+                result.factor(family.n, 2).validate(family)
+            statuses[result.status, result.nodes_visited > 1] += 1
+        # both answers are common, and some of each need the backtracking
         assert statuses[FOUND, True] >= 200 and statuses[ABSENT, False] >= 100, statuses
         assert statuses[ABSENT, True] >= 10, statuses
 
@@ -330,12 +420,13 @@ class TestRainbowSearchAgainstOracle:
         assert oracle_rainbow_factor_exists(one_odd_family(4, 2))
 
 
-# Nodes the one-odd searches take with the degree flow at every node and
-# the flow's edges tried first, on the family and on its transpose (10 and 9
-# at (7, 2) with the children in Y order, 11/11/14/13 and 10/13/13/11 with
-# the flow at the root only); they must not rise.
-ONE_ODD_NODES = {(6, 2): 7, (7, 2): 8, (8, 2): 9, (6, 3): 7}
-ONE_ODD_TRANSPOSED_NODES = {(6, 2): 7, (7, 2): 8, (8, 2): 9, (6, 3): 7}
+# Nodes the one-odd searches take with each flow subgraph on the first dive
+# offered to the classes, on the family and on its transpose (7/8/9/7 both
+# ways without the colouring, 10 and 9 at (7, 2) with the children in Y
+# order, 11/11/14/13 and 10/13/13/11 with the flow at the root only); they
+# must not rise.
+ONE_ODD_NODES = {(6, 2): 1, (7, 2): 1, (8, 2): 1, (6, 3): 4}
+ONE_ODD_TRANSPOSED_NODES = {(6, 2): 1, (7, 2): 1, (8, 2): 1, (6, 3): 2}
 
 
 class TestAdversarialFamilies:
@@ -363,13 +454,13 @@ class TestAdversarialFamilies:
     def test_theorem_sample_trial_8_found_within_1000_nodes(self):
         # trial 8 of theorem-sample at seed 0, a grown family of extremal
         # copies at (8, 4) with a factor: more than 2,000,000 nodes with the
-        # flow at the root only
+        # flow at the root only, and now decided at the root by its colouring
         trial, identical, family = next(
             case for case in _theorem_sample_families(ExperimentConfig(seed=0)) if case[0] == 8
         )
         assert (family.n, family.k, identical) == (8, 4, False)
         result = rainbow_k_factor_search(family, budget=1_000)
-        assert result.status == FOUND
+        assert result.status == FOUND and result.nodes_visited == 1
         result.factor(8, 4).validate(family)
 
     def test_theorem_sample_seed_5_trial_12_found_within_1000_nodes(self):
@@ -378,7 +469,8 @@ class TestAdversarialFamilies:
         # pin holds whatever the generator draws.  Each member is K_{14,14}
         # less the edges from one vertex v (1..28) to the vertices whose
         # bits are set in mask (bit j: X-vertex j+1 or Y-vertex 15+j).  With
-        # the children tried in Y order it exhausted 2,000,000 nodes.
+        # the children tried in Y order it exhausted 2,000,000 nodes; the
+        # root's colouring now decides it.
         n, k, full = 14, 6, (1 << 14) - 1
         missing = [
             (18, 2171), (17, 9879), (8, 14085), (15, 374), (26, 10581), (18, 13033),
@@ -405,7 +497,7 @@ class TestAdversarialFamilies:
             members.append(BipartiteGraph(n, tuple(rows)))
         family = GraphFamily(n, k, tuple(members))
         result = rainbow_k_factor_search(family, budget=1_000)
-        assert result.status == FOUND
+        assert result.status == FOUND and result.nodes_visited == 1
         result.factor(n, k).validate(family)
 
     def test_flow_cuts_the_identical_extremal_family_at_the_root(self):
@@ -468,23 +560,25 @@ class TestAdversarialFamilies:
     @pytest.mark.parametrize(
         "n, orbit, budget, status, counters",
         [
-            (8, (0, 6, 0), DEFAULT_BUDGET, ABSENT, (344, 6, 2, 36)),
-            (10, (4, 8, 7), DEFAULT_BUDGET, ABSENT, (6_769, 11, 3, 699)),
-            (10, (4, 8, 7), 1_000, BUDGET_EXHAUSTED, (1_000, 0, 0, 86)),
+            (8, (0, 6, 0), DEFAULT_BUDGET, ABSENT, (344, 6, 2, 36, 5)),
+            (10, (4, 8, 7), DEFAULT_BUDGET, ABSENT, (6_769, 11, 3, 699, 5)),
+            (10, (4, 8, 7), 1_000, BUDGET_EXHAUSTED, (1_000, 0, 0, 86, 5)),
         ],
         ids=["8-absent", "10-absent", "10-budget"],
     )
     def test_counters_pinned(self, n, orbit, budget, status, counters):
         # the exact counters of searches the lattice does not decide, so a
-        # change to the search's bookkeeping that alters any of them shows
+        # change to the search's bookkeeping that alters any of them shows;
+        # the colourings are those of the first dive, and none comes after
         result = rainbow_perfect_matching_search(cyclic_latin(n, [orbit]), budget=budget)
-        nodes, orbit_skips, automorphisms, flow_cuts = counters
+        nodes, orbit_skips, automorphisms, flow_cuts, colourings = counters
         assert result.status == status and result.assignment is None
         assert result.summary() == {
             "nodes": nodes,
             "orbit_skips": orbit_skips,
             "automorphisms": automorphisms,
             "flow_cuts": flow_cuts,
+            "colourings": colourings,
             "witness": None,
         }
 
@@ -662,14 +756,15 @@ class TestOrbitPruning:
     @pytest.mark.parametrize(
         "n, k, rows",
         [
-            (3, 2, [(3, 6, 5), (6, 5, 3), (2, 4, 1)] * 2),
+            (3, 2, [(6, 3, 5), (3, 5, 6), (2, 1, 4)] * 2),
             (3, 2, [(0, 4, 6), (6, 7, 3), (1, 0, 4), (2, 1, 0), (4, 0, 1), (2, 3, 4)]),
             (4, 1, [(0, 2, 0, 8), (12, 8, 1, 3), (0, 12, 10, 6), (2, 13, 10, 14)]),
         ],
     )
     def test_factor_found_after_skipping_a_failed_orbit(self, n, k, rows):
-        # families drawn by symmetric_family where a root branch fails, its
-        # images are skipped, and a later branch holds the factor
+        # families drawn by symmetric_family where the root's colouring
+        # fails, a root branch fails, its images are skipped, and a later
+        # branch holds the factor
         family = GraphFamily(n, k, tuple(BipartiteGraph(n, r) for r in rows))
         result = rainbow_k_factor_search(family)
         assert result.status == FOUND and result.orbit_skips > 0

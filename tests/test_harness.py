@@ -239,8 +239,8 @@ class TestCampaigns:
         assert payload["summary"]["passed"] == report.passed == 9
         assert payload["summary"]["failed"] == 0
         assert set(payload["cases"][0]["values"]) == {
-            "search_status", "nodes", "orbit_skips", "automorphisms", "flow_cuts", "witness",
-            "k_factor_exists",
+            "search_status", "nodes", "orbit_skips", "automorphisms", "flow_cuts", "colourings",
+            "witness", "k_factor_exists",
         }
 
     def test_construction_reports_its_search_counters(self):
@@ -253,7 +253,7 @@ class TestCampaigns:
         for values in searched:
             assert set(values) == {
                 "constructed", "search_status", "nodes", "orbit_skips", "automorphisms",
-                "flow_cuts", "witness",
+                "flow_cuts", "colourings", "witness",
             }
             assert values["search_status"] == "found" and values["nodes"] >= 1
             assert values["witness"] is None
@@ -440,7 +440,8 @@ class TestCLI:
         assert outputs[0] == outputs[1]
         search = json.loads(outputs[0].strip().splitlines()[-1])["search"]
         assert set(search) == {
-            "status", "nodes", "orbit_skips", "automorphisms", "flow_cuts", "witness"
+            "status", "nodes", "orbit_skips", "automorphisms", "flow_cuts", "colourings",
+            "witness",
         }
         return search
 

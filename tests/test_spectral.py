@@ -1,3 +1,4 @@
+import itertools
 import math
 import operator
 import tracemalloc
@@ -42,6 +43,7 @@ from tests.oracles import (
     join_charpoly,
     quotient_matrix,
     radius_sign,
+    radius_sign_dense,
 )
 
 # largest root of x^4 - 13x^2 + 9, via x^2 = (13 + sqrt(133))/2
@@ -601,6 +603,47 @@ class TestExactBrackets:
                     for h in graphs:
                         for t in (h, h.transposed()):
                             assert_holds_rho(t, spectral_radius(t), coeffs)
+
+
+class TestRadiusSignOracle:
+    """The oracle's twin quotient per Y-component against its elimination
+    of the whole matrix."""
+
+    def test_agrees_with_the_whole_matrix_on_every_graph_up_to_n3(self):
+        ys = [0.0, 1.0, math.sqrt(2), 1.5, 2.0, math.sqrt(5), 3.0]
+        signs = Counter()
+        for n in (1, 2, 3):
+            for rows in itertools.product(range(1 << n), repeat=n):
+                g = BipartiteGraph(n, rows)
+                report = spectral_radius(g)
+                for y in (*ys, report.value, report.value + report.residual):
+                    sign = radius_sign(g, y)
+                    assert sign == radius_sign_dense(g, y), (rows, y)
+                    signs[sign] += 1
+        # rho = 0, 1, 2 and 3 fall on the grid, so ties are checked too
+        assert min(signs[-1], signs[0], signs[1]) >= 50, signs
+
+    def test_agrees_with_the_whole_matrix_on_a_seeded_sample(self, rng):
+        signs = Counter()
+        for trial in range(60):
+            n = int(rng.integers(2, 13))
+            if trial % 3 == 0:  # twin-free rows, most likely
+                g = random_graph(rng, n, 0.2 + 0.6 * float(rng.random()))
+            else:  # rows and columns from a few classes, often in several blocks
+                c = int(rng.integers(1, n + 1))
+                label = rng.integers(0, c, n)
+                classes = [sum(1 << j for j in range(n) if label[j] == i) for i in range(c)]
+                pool = [0] + [
+                    sum(cl for cl, pick in zip(classes, rng.random(c) < 0.4) if pick) for _ in range(4)
+                ]
+                g = BipartiteGraph(n, tuple(pool[int(i)] for i in rng.integers(0, len(pool), n)))
+            report = spectral_radius(g)
+            ends = (report.value, report.value + report.residual)
+            for y in (*ends, float(round(ends[0])), float(rng.random() * (n + 1))):
+                sign = radius_sign(g, y)
+                assert sign == radius_sign_dense(g, y), (g.n, g.x_rows, y)
+                signs[sign] += 1
+        assert min(signs[-1], signs[0], signs[1]) >= 5, signs
 
 
 def two_class_graph(rng, n: int) -> BipartiteGraph:
