@@ -40,12 +40,14 @@ found.
 
 An integer-lattice certificate (``rfl.lattice``) proves absence without the
 tree when parity or another divisibility argument forbids a factor, as for
-the even cyclic Latin squares.  The search asks it once, at the first failed
-child or when the budget runs out before one, so a search that goes
-straight down to a factor never pays for it, and reports ABSENT with its
-witness.  It decides nothing where the integer relaxation is solvable: the
-odd cyclic squares, for one, and most even ones with a few edges added,
-which the tree still has to exhaust.
+the even cyclic Latin squares.  It solves the family's integer relaxation
+mod 2 first, which alone decides the squares of order 2 mod 4, and over the
+integers only when parity leaves it undecided.  The search asks it once, at
+the first failed child or when the budget runs out before one, so a search
+that goes straight down to a factor never pays for it, and reports ABSENT
+with its witness.  It decides nothing where the integer relaxation is
+solvable: the odd cyclic squares, for one, and most even ones with a few
+edges added, which the tree still has to exhaust.
 
 Absence is otherwise only reported when the tree has been exhausted;
 running out of node budget is a distinct third status.  One search object
@@ -237,7 +239,10 @@ class _Search:
     """One exact search: the classes, the placements made so far and the
     counters.  ``chosen`` lists the placements in order and is the undo log:
     ``branch`` pushes a child's placements onto it and pops them when the
-    child fails."""
+    child fails.  The classes are kept as rows only, with no per-edge index:
+    ``colour`` finds the classes holding each flow edge as it needs them,
+    and ``certificate`` asks ``rfl.lattice`` (parity, then the integers) at
+    most once."""
 
     def __init__(self, family: GraphFamily, budget: int):
         self.family, self.budget = family, budget
@@ -254,12 +259,6 @@ class _Search:
         self.deficit_y = [k] * n
         self.used_rows = [0] * n  # bit y of used_rows[x] <=> edge (x, y) is taken
         self.chosen: list[tuple[int, int, int]] = []  # (class, x, y)
-        # bit c of cell_classes[x][y] <=> class c holds edge (x, y)
-        self.cell_classes = [[0] * n for _ in range(n)]
-        for c, rows in enumerate(self.class_rows):
-            for x, row in enumerate(rows):
-                for y in _bits(row):
-                    self.cell_classes[x][y] |= 1 << c
         self.nodes = self.orbit_skips = self.automorphisms = self.flow_cuts = 0
         self.colourings = 0
         self.finder: _Symmetry | None = None  # built at the first orbit search
@@ -369,10 +368,12 @@ class _Search:
         perfect since the needs sum to the edges.  On success its placements
         go onto ``chosen``."""
         self.colourings += 1
-        need, cell_classes = self.need, self.cell_classes
-        live = sum(1 << c for c, left in enumerate(need) if left)
+        need, class_rows = self.need, self.class_rows
+        live = [c for c, left in enumerate(need) if left]
         edges = [(x, y) for x, row in enumerate(flow) for y in _bits(row)]
-        picks = _exact_degree([cell_classes[x][y] & live for x, y in edges], [1] * len(edges), need)
+        # bit c of holders[i] <=> live class c holds edge i
+        holders = [sum(1 << c for c in live if class_rows[c][x] >> y & 1) for x, y in edges]
+        picks = _exact_degree(holders, [1] * len(edges), need)
         if picks is None:
             return False
         self.chosen += [(pick.bit_length() - 1, x, y) for pick, (x, y) in zip(picks, edges)]

@@ -6,19 +6,21 @@ equitable quotient matrix of the join graphs with its characteristic
 polynomial, against which the library's integer coefficients are checked,
 the complete-block, quasi-complement and bowtie-join builders that
 compose the extremal and join graphs the library writes row by row, the
-extremal signature by degrees and comparison with a built copy,
-isomorphism to the extremal graph by canonical relabeling, the exact sign
-of rho(g) - y by integer elimination, on the twin quotient of each
-Y-component or on the whole matrix, the
+extremal signature for every k at once by degrees and comparison with a
+built copy, isomorphism to the extremal graph by canonical relabeling, the
+exact sign of rho(g) - y by integer elimination, on the twin quotient of
+each Y-component or on the whole matrix, the
 deletion of one vertex's edges, the cyclic Latin squares with or without
 added edge orbits, the check, in Fractions, of a lattice witness that a
-family has no rainbow factor, and the k anti-diagonal perfect matchings
+family has no rainbow factor, the solvability of the integer relaxation by
+a dense Hermite reduction, and the k anti-diagonal perfect matchings
 with their validator, and the shifted-family audit as three separate
 checks."""
 
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, permutations, product
 from typing import Iterable
 
@@ -122,6 +124,48 @@ def check_lattice_witness(family, witness) -> bool:
                 if member.x_rows[x] >> y & 1 and (f[x] + g[y] + h[i]).denominator != 1:
                     return False
     return (k * sum(f) + k * sum(g) + sum(h)).denominator != 1
+
+
+def relaxation_solvable(n: int, k: int, class_rows, need) -> bool:
+    """Oracle: whether the integer relaxation of a rainbow k-factor has a
+    solution: an integer s (of any sign) on each edge (x, y) of each class c
+    with degree k at every vertex and total need[c] over each class c.  That
+    is A s = b, with one column e_x + e_y + e_c per edge (X-vertices, then
+    Y-vertices, then classes) and b = (k, ..., k, need), decided by a plain
+    dense Hermite reduction: integer column operations bring A to lower
+    echelon form, and b is then solved for by forward substitution."""
+    target = [k] * (2 * n) + list(need)
+    height = len(target)
+    rest = [
+        [int(i in (x, n + y, 2 * n + c)) for i in range(height)]
+        for c, rows in enumerate(class_rows)
+        for x in range(n)
+        for y in range(n)
+        if rows[x] >> y & 1
+    ]
+    pivots = []
+    for i in range(height):
+        # Euclid on entry i: subtract multiples of the column with the
+        # smallest nonzero entry until one column holds the gcd
+        while True:
+            hits = [col for col in rest if col[i]]
+            if len(hits) <= 1:
+                break
+            small = min(hits, key=lambda col: abs(col[i]))
+            for col in hits:
+                if col is not small:
+                    q = col[i] // small[i]
+                    col[:] = [a - q * b for a, b in zip(col, small)]
+        if hits:
+            pivots.append((i, hits[0]))
+            rest = [col for col in rest if col is not hits[0]]
+    residual = target
+    for i, col in pivots:  # col is zero above row i
+        if residual[i] % col[i]:
+            return False
+        q = residual[i] // col[i]
+        residual = [a - q * b for a, b in zip(residual, col)]
+    return not any(residual)
 
 
 def cyclic_latin(n: int, added: Iterable[tuple[int, int, int]] = ()) -> list[BipartiteGraph]:
@@ -377,22 +421,34 @@ def bowtie_join(
     return BipartiteGraph(n, tuple(rows))
 
 
-def extremal_signature_by_copy(
-    g: BipartiteGraph, k: int
-) -> tuple[int, tuple[int, ...]] | None:
-    """Oracle: (deficient vertex, sorted neighbors) if g is a labeled extremal
-    copy for its half-order and k, else None.  The deficient vertex is the
-    only vertex of degree k-1, and g must equal the copy built from it and
-    its neighbors."""
-    degrees = [row.bit_count() for row in g.x_rows + g.y_cols]  # vertices 1..2n
-    deficient = [v for v, d in enumerate(degrees, start=1) if d == k - 1]
-    if len(deficient) != 1:
-        return None
-    u = deficient[0]
-    nbrs = tuple(sorted(g.neighbors(u)))
-    if g == labeled_extremal_copy(g.n, k, u, nbrs):
-        return (u, nbrs)
-    return None
+def extremal_signatures_by_copy(
+    g: BipartiteGraph, ks: Iterable[int]
+) -> dict[int, tuple[int, tuple[int, ...]] | None]:
+    """Oracle: for each k in ks, (deficient vertex, sorted neighbors) if g is
+    a labeled extremal copy for its half-order and k, else None.  The
+    deficient vertex is the only vertex of degree k-1, and g must equal the
+    copy built from it and its neighbors.  Each vertex's neighbors are
+    listed once, by scanning every cell, for all k."""
+    n, rows = g.n, g.x_rows
+    adjacent = [tuple(n + y + 1 for y in range(n) if row >> y & 1) for row in rows]
+    adjacent += [tuple(x + 1 for x in range(n) if rows[x] >> y & 1) for y in range(n)]
+    by_degree: dict[int, list[int]] = {}
+    for v, nbrs in enumerate(adjacent, start=1):  # vertices 1..2n
+        by_degree.setdefault(len(nbrs), []).append(v)
+    signatures = {}
+    for k in ks:
+        deficient = by_degree.get(k - 1, ())
+        signatures[k] = None
+        if len(deficient) == 1:
+            u = deficient[0]
+            if g == _extremal_copy(n, k, u, adjacent[u - 1]):
+                signatures[k] = (u, adjacent[u - 1])
+    return signatures
+
+
+@cache
+def _extremal_copy(n: int, k: int, u: int, nbrs: tuple[int, ...]) -> BipartiteGraph:
+    return labeled_extremal_copy(n, k, u, nbrs)
 
 
 def _vertex_bits(vertices: Iterable[int], lo: int, hi: int) -> int:

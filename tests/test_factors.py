@@ -33,7 +33,7 @@ from rfl.graphs import (
 )
 from rfl.flow import _augment, _exact_degree, degree_constrained_subgraph, k_factor_exists
 from rfl.harness import ExperimentConfig, _theorem_sample_families
-from rfl.lattice import lattice_witness
+from rfl.lattice import _parity_basis, lattice_witness
 from rfl.spectral import quotient_spectral_radius
 from tests.conftest import random_graph
 from tests.oracles import (
@@ -44,6 +44,7 @@ from tests.oracles import (
     cyclic_latin,
     diagonal_matching_schedule,
     exact_degree_exists,
+    relaxation_solvable,
     three_check_audit,
     validate_matching_schedule,
 )
@@ -590,6 +591,13 @@ class TestLatticeCertificate:
         result = rainbow_perfect_matching_search(members, budget=n)
         assert result.status == ABSENT and result.orbit_skips == result.automorphisms == 0
         assert check_lattice_witness(GraphFamily(n, 1, tuple(members)), result.witness)
+        values = [v for part in result.witness for v in part]
+        if n % 4 == 2:
+            # parity decides: x + y + c is even on every cell x + y = c
+            # (mod n), yet sums to 3n/2 over a transversal
+            assert set(values) <= {0, Fraction(1, 2)}
+        else:  # parity cannot: the integer pass finds a finer witness
+            assert max(v.denominator for v in values) > 2
 
     def test_spent_budget_still_asks_the_certificate(self):
         # the budget runs out at the root's first child, before any child
@@ -606,15 +614,9 @@ class TestLatticeCertificate:
 
     def test_witness_only_on_absent_families(self, rng):
         witnesses = Counter()
-        for _ in range(600):
-            n = int(rng.integers(2, 5))
-            k = int(rng.integers(1, min(3, n) + 1))
-            pool = [random_graph(rng, n, 0.1 + 0.8 * float(rng.random())) for _ in range(3)]
-            members = tuple(pool[int(i)] for i in rng.integers(0, len(pool), size=k * n))
-            family = GraphFamily(n, k, members)
-            classes = Counter(g.x_rows for g in members)
-            rows = list(classes)
-            witness = lattice_witness(n, k, rows, [classes[r] for r in rows])
+        for family, rows, need in _class_families(rng):
+            n, k, members = family.n, family.k, family.members
+            witness = lattice_witness(n, k, rows, need)
             if witness is not None:
                 f, g, h = witness
                 per_member = [h[rows.index(m.x_rows)] for m in members]
@@ -630,6 +632,31 @@ class TestLatticeCertificate:
         assert witnesses[True, False] + witnesses[True, True] >= 100, witnesses
         assert witnesses[True, True] >= 1, witnesses
 
+    def test_no_witness_exactly_when_the_relaxation_is_solvable(self, rng):
+        # the random draws above, then the cyclic squares of orders 2-10,
+        # bare and with one edge orbit added to class 0
+        systems = [(f.n, f.k, rows, need) for f, rows, need in _class_families(rng)]
+        for n in range(2, 11):
+            for added in [[], *([(0, x, 0)] for x in range(1, n))]:
+                systems.append((n, 1, [g.x_rows for g in cyclic_latin(n, added)], [1] * n))
+        outcomes = Counter()
+        for system in systems:
+            solvable = relaxation_solvable(*system)
+            assert (lattice_witness(*system) is None) == solvable, system
+            outcomes[solvable] += 1
+        assert outcomes[True] >= 100 and outcomes[False] >= 100, outcomes
+
+    def test_full_parity_rank_leaves_the_integer_pass(self):
+        # two dense classes: their generators reach GF(2) rank 2n - 2, so
+        # parity stops undecided, and the integer pass finds a solution
+        n, k = 5, 2
+        dense = BipartiteGraph(n, (0b11111, 0b11011, 0b10111, 0b01111, 0b11110))
+        classes = [BipartiteGraph.complete(n).x_rows, dense.x_rows]
+        edges = [[(x, y) for x, row in enumerate(r) for y in _bits(row)] for r in classes]
+        assert _parity_basis(n, edges) is None
+        assert lattice_witness(n, k, classes, [4, 6]) is None
+        assert relaxation_solvable(n, k, classes, [4, 6])
+
     def test_a_class_without_edges_has_a_witness(self):
         empty, full = BipartiteGraph.empty(3), BipartiteGraph.complete(3)
         family = GraphFamily(3, 1, (empty, full, full))
@@ -644,6 +671,19 @@ class TestLatticeCertificate:
         assert not check_lattice_witness(family, ((f[0] + half,) + f[1:], g, h))
         assert not check_lattice_witness(family, (f, g, (h[0] + half,) + h[1:]))
         assert not check_lattice_witness(family, (f, g, h[:-1]))
+
+
+def _class_families(rng):
+    """600 random families of n <= 4 drawn from a pool of three graphs, each
+    with its classes' rows and member counts."""
+    for _ in range(600):
+        n = int(rng.integers(2, 5))
+        k = int(rng.integers(1, min(3, n) + 1))
+        pool = [random_graph(rng, n, 0.1 + 0.8 * float(rng.random())) for _ in range(3)]
+        members = tuple(pool[int(i)] for i in rng.integers(0, len(pool), size=k * n))
+        classes = Counter(g.x_rows for g in members)
+        rows = list(classes)
+        yield GraphFamily(n, k, members), rows, [classes[r] for r in rows]
 
 
 # abelian groups of orders 2-5 as (operation, inverse)
