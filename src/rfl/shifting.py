@@ -31,6 +31,7 @@ def xy_shift(g: BipartiteGraph, x: int, y: int) -> BipartiteGraph:
     """Move every edge at y to x when the moved edge is not already present.
 
     x < y and both in X or both in Y.  Edge count is always preserved.
+    Returns g itself when no edge moves, else a new graph.
     """
     n = g.n
     if x >= y:
@@ -38,7 +39,8 @@ def xy_shift(g: BipartiteGraph, x: int, y: int) -> BipartiteGraph:
     if not (1 <= x < y <= n or n < x < y <= 2 * n):
         raise GraphError(f"({x},{y}) must lie in the same part of 1..{2 * n}")
     rows = list(g.x_rows)
-    _shift_rows(rows, n, x, y)
+    if not _shift_rows(rows, n, x, y):
+        return g
     return BipartiteGraph(n, tuple(rows))
 
 

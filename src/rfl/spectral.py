@@ -11,7 +11,10 @@ error bound, so every report's bracket holds rho and callers need no slack.
 A block small enough for a dense eigensolver starts from its Perron vector
 and usually closes on the first product; a larger one starts from all-ones
 and is never formed, each product applied through B as B^T (B v) (Golub and
-Van Loan, Matrix Computations, secs. 8.6 and 10.4).
+Van Loan, Matrix Computations, secs. 8.6 and 10.4).  The eigensolver is
+numpy's LAPACK kernel behind np.linalg.eigh (_eigh), called without that
+wrapper's conversions and error handling: a failure shows as NaN in the
+start, which is then refused like any start that is not positive.
 
 Twins, vertices with equal neighbourhoods, form equitable partitions
 (Brouwer and Haemers, Spectra of Graphs, sec. 2.3): at every n a block of at
@@ -40,6 +43,7 @@ from dataclasses import dataclass
 from itertools import compress
 
 import numpy as np
+from numpy.linalg._umath_linalg import eigh_lo as _eigh
 
 from .graphs import (
     BipartiteGraph,
@@ -58,16 +62,16 @@ MAX_ITERATIONS = 100_000
 
 # Blocks of at most this many Y-vertices, or on graphs with more than this
 # many X-vertices of at most this many Y-twin classes, start from the Perron
-# vector of a dense eigh and take their products on a formed matrix, unless
-# they have at most two classes and take none; other blocks stay matrix-free
-# and start from all-ones.  Measured for this loop on a shared 2-vCPU Xeon
-# with OpenBLAS on one thread, as whole spectral_radius calls on random
-# half-dense s x s graphs (three each): with the dense start
-# 48-55 us at s = 8, 92-95 us at 16, 147-151 us at 24, 204-212 us at 32 and
-# 417-421 us at 48, always one product; from all-ones 134-161 us at 8 (16-19
-# products), 133-148 us at 16 (13-15), 129-148 us at 24 (11-13), 131-153 us
-# at 32 (10-12) and 156-160 us at 48 (10).  The crossover lies near 24; the
-# limit sits below it, so large blocks never pay for eigh.
+# vector of a dense eigh (_eigh) and take their products on a formed matrix,
+# unless they have at most two classes and take none; other blocks stay
+# matrix-free and start from all-ones.  Measured for this loop on a shared
+# 2-vCPU Xeon with OpenBLAS on one thread, as whole spectral_radius calls on
+# random half-dense s x s graphs (three each): with the dense start
+# 35-36 us at s = 8, 67-78 us at 16, 135-141 us at 24, 184-222 us at 32 and
+# 455-472 us at 48, always one product; from all-ones 130-232 us at 8 (12-21
+# products), 139-185 us at 16 (13-14), 170-172 us at 24 (12), 175-181 us at
+# 32 (11) and 145-164 us at 48 (9-10).  The crossover lies between 24 and
+# 32; the limit sits below it, so large blocks never pay for eigh.
 # The same limit decides which graphs have their rows counted and their
 # blocks of three or more classes quotiented by their twins: one of at most
 # this many X-vertices keeps its rows as they are, since those blocks are
@@ -135,15 +139,17 @@ def spectral_radius(g: BipartiteGraph) -> SpectralReport:
     For n <= _DENSE_START_MAX the rows are otherwise used as they are.  With
     Bb the block's columns of B, a block of three or more classes forms its
     s x s Gram matrix Bb^T Bb, starts from |top eigenvector of eigh| of it
-    (or from all-ones if that has an entry <= 0), and takes each product as
-    one s x s matrix-vector product on it.
+    (or from all-ones unless every entry is > 0, which a NaN left by a
+    failed eigh is not), and takes each product as one s x s
+    matrix-vector product on it.
 
     For n > _DENSE_START_MAX the rows are counted once (_row_counts): Bd
     holds the d distinct nonzero rows and m_x their multiplicities, B^T B =
     Bd^T diag(m_x) Bd, and a star's degree is its bit's count.  A block of
     3 to _DENSE_START_MAX classes starts from the Perron vector of the
-    symmetric diag(sqrt m_y) G diag(sqrt m_y), divided by sqrt m_y, and
-    iterates on class vectors with the bounds (m_y * v).w / (m_y * v).v and
+    symmetric diag(sqrt m_y) G diag(sqrt m_y), divided by sqrt m_y (or
+    from the all-ones class vector by the same rule), and iterates on class
+    vectors with the bounds (m_y * v).w / (m_y * v).v and
     max_i w_i / v_i, exactly the bounds above at the full n-long iterate.
     Neither it nor a block of at most two classes builds B.  A block with
     more classes builds B over the distinct rows, starts from all-ones and
@@ -197,16 +203,24 @@ def spectral_radius(g: BipartiteGraph) -> SpectralReport:
             # G diag(m_y) is similar to the symmetric diag(sqrt m_y) G
             # diag(sqrt m_y), whose Perron vector u gives v = u / sqrt m_y
             root = np.sqrt(y_sizes)
-            perron = np.abs(np.linalg.eigh(gram * np.outer(root, root))[1][:, -1]) / root
+            perron = np.abs(_eigh(gram * np.outer(root, root))[1][:, -1]) / root
             gram = gram * y_sizes
         if gram is None:
             if b is None:
                 b = _biadjacency(rows, n)
-            bb = b if size == n else b[:, list(_bits(block))]
+            cols = None if size == n else list(_bits(block))
             if weights is None:  # n <= _DENSE_START_MAX, so the block is small too
+                # take costs less than fancy indexing; the Gram matrix is
+                # exact integers, so the copy's layout cannot change it
+                bb = b if cols is None else b.take(cols, axis=1)
                 gram = bb.T.dot(bb)
-                perron = np.abs(np.linalg.eigh(gram)[1][:, -1])
-        if perron is not None and min(perron.tolist()) > 0:
+                perron = np.abs(_eigh(gram)[1][:, -1])
+            else:
+                # fancy indexing, not take: take's copy has another layout,
+                # so BLAS would sum each product in another order
+                bb = b if cols is None else b[:, cols]
+        # every entry > 0: NaN, which a failed _eigh leaves, fails each test
+        if perron is not None and all(map((0.0).__lt__, perron.tolist())):
             v = perron
         else:
             v = np.ones(size if y_sizes is None else len(y_sizes))

@@ -108,6 +108,21 @@ class TestXYShift:
                         g.edge_set(), x + n, y + n
                     )
 
+    def test_returns_the_graph_itself_exactly_when_no_edge_moves(self, rng):
+        seen = set()
+        for _ in range(60):
+            n = int(rng.integers(2, 7))
+            g = random_graph(rng, n, float(rng.random()))
+            edges = g.edge_set()
+            for x in range(1, n):
+                for y in range(x + 1, n + 1):
+                    for a, b in ((x, y), (x + n, y + n)):
+                        moved = naive_shift(edges, a, b) != edges
+                        shifted = xy_shift(g, a, b)
+                        assert (shifted is g) == (not moved)
+                        seen.add(moved)
+        assert seen == {False, True}
+
 
 class TestSpectralMonotonicity:
     def test_rho_never_decreases(self, rng):

@@ -183,14 +183,16 @@ class TestPowerIteration:
     def test_dense_start_limit(self, monkeypatch):
         # a path's block needs many products from all-ones; one at or below
         # the limit is started from eigh's Perron vector and closes at once
+        import rfl.spectral
+
         sizes = []
-        eigh = np.linalg.eigh
+        eigh = rfl.spectral._eigh
 
         def spy(a):
             sizes.append(a.shape[0])
             return eigh(a)
 
-        monkeypatch.setattr(np.linalg, "eigh", spy)
+        monkeypatch.setattr(rfl.spectral, "_eigh", spy)
         below = spectral_radius(path_graph(_DENSE_START_MAX))
         assert sizes == [_DENSE_START_MAX]
         assert below.iterations == 1
@@ -202,8 +204,10 @@ class TestPowerIteration:
 
     def test_dense_start_falls_back_to_all_ones(self, monkeypatch):
         # a start vector with a zero entry would divide by zero in the
-        # Collatz-Wielandt bound; the block must start from all-ones instead
-        g = path_graph(8)
+        # Collatz-Wielandt bound, and one with NaN, which the eigh kernel
+        # leaves on a LAPACK failure, would close no bracket; the block must
+        # start from all-ones instead
+        import rfl.spectral
 
         def start_with(vector):
             def fake(a):
@@ -211,22 +215,60 @@ class TestPowerIteration:
 
             return fake
 
-        monkeypatch.setattr(np.linalg, "eigh", start_with(lambda size: np.ones(size)))
-        from_ones = spectral_radius(g)
-        monkeypatch.setattr(
-            np.linalg, "eigh", start_with(lambda size: np.eye(size)[0])  # zero past entry 0
-        )
-        fallback = spectral_radius(g)
-        assert fallback == from_ones
-        assert fallback.iterations > 1
-        assert_bracket_contains(g, fallback)
-        # a twin quotient falls back to the class vector of all-ones, the
-        # full all-ones start, and takes the 19 products the matrix-free loop
-        # takes from it (test_iteration_counts_of_three_class_blocks_pinned)
-        g = three_class(100)
-        fallback = spectral_radius(g)
-        assert fallback.iterations == 19
-        assert_bracket_contains(g, fallback)
+        def nan_past_first(size):
+            start = np.full(size, np.nan)
+            start[0] = 1.0
+            return start
+
+        # zero past entry 0, then NaN past entry 0
+        for bad_start in (lambda size: np.eye(size)[0], nan_past_first):
+            g = path_graph(8)
+            monkeypatch.setattr(rfl.spectral, "_eigh", start_with(lambda size: np.ones(size)))
+            from_ones = spectral_radius(g)
+            monkeypatch.setattr(rfl.spectral, "_eigh", start_with(bad_start))
+            fallback = spectral_radius(g)
+            assert fallback == from_ones
+            assert fallback.iterations > 1
+            assert_bracket_contains(g, fallback)
+            # a twin quotient falls back to the class vector of all-ones, the
+            # full all-ones start, and takes the 19 products the matrix-free
+            # loop takes from it (test_iteration_counts_of_three_class_blocks_pinned)
+            g = three_class(100)
+            fallback = spectral_radius(g)
+            assert fallback.iterations == 19
+            assert_bracket_contains(g, fallback)
+
+    def test_eigh_kernel_matches_numpy_eigh_bit_for_bit(self, monkeypatch, rng):
+        # spectral_radius calls numpy's eigh kernel without its wrapper; on
+        # every dense-start matrix it is given here, from every graph with
+        # n <= 3, random graphs with n <= 16 and three-class quotients above
+        # n = 16, both must give the same eigenvalues and eigenvectors
+        import rfl.spectral
+
+        eigh, starts = rfl.spectral._eigh, []
+
+        def spy(a):
+            starts.append(a.copy())
+            return eigh(a)
+
+        monkeypatch.setattr(rfl.spectral, "_eigh", spy)
+        graphs = []
+        for n in range(1, 4):
+            for code in range(1 << (n * n)):
+                rows = tuple((code >> (n * i)) & ((1 << n) - 1) for i in range(n))
+                graphs.append(BipartiteGraph(n, rows))
+        for _ in range(300):
+            n = int(rng.integers(4, _DENSE_START_MAX + 1))
+            graphs.append(random_graph(rng, n, float(rng.random())))
+        graphs += [three_class(n) for n in (17, 40, 64)]
+        for g in graphs:
+            spectral_radius(g)
+        assert len(starts) > 300
+        assert {len(a) for a in starts} >= set(range(3, _DENSE_START_MAX + 1))
+        for a in starts:
+            (w, v), (w_numpy, v_numpy) = eigh(a), np.linalg.eigh(a)
+            assert w.tobytes() == w_numpy.tobytes()
+            assert v.tobytes() == v_numpy.tobytes()
 
     def test_slow_top_component_beside_small_one(self):
         # a path on 40 vertices (rho = 2 cos(pi/41)) beside a path on 4
@@ -811,8 +853,8 @@ class TestTwinQuotient:
         # classes take no product, so these have three and four
         import rfl.spectral
 
-        eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda a: (eigh(a)[0], np.eye(len(a))))
+        eigh = rfl.spectral._eigh
+        monkeypatch.setattr(rfl.spectral, "_eigh", lambda a: (eigh(a)[0], np.eye(len(a))))
         monkeypatch.setattr(rfl.spectral, "DEFAULT_TOL", 1e9)
         graphs = [three_class(n) for n in (17, 40, 64)]
         graphs.append(self.from_columns(20, [0b111 << (j % 4) for j in range(20)]))
