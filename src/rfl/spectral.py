@@ -43,7 +43,11 @@ from dataclasses import dataclass
 from itertools import compress
 
 import numpy as np
-from numpy.linalg._umath_linalg import eigh_lo as _eigh
+
+try:  # the LAPACK gufunc behind np.linalg.eigh(UPLO='L'), a private module
+    from numpy.linalg._umath_linalg import eigh_lo as _eigh
+except ImportError:  # a numpy without it still imports rfl and gives eigh
+    _eigh = np.linalg.eigh
 
 from .graphs import (
     BipartiteGraph,
@@ -208,17 +212,10 @@ def spectral_radius(g: BipartiteGraph) -> SpectralReport:
         if gram is None:
             if b is None:
                 b = _biadjacency(rows, n)
-            cols = None if size == n else list(_bits(block))
+            bb = b if size == n else b[:, list(_bits(block))]
             if weights is None:  # n <= _DENSE_START_MAX, so the block is small too
-                # take costs less than fancy indexing; the Gram matrix is
-                # exact integers, so the copy's layout cannot change it
-                bb = b if cols is None else b.take(cols, axis=1)
                 gram = bb.T.dot(bb)
                 perron = np.abs(_eigh(gram)[1][:, -1])
-            else:
-                # fancy indexing, not take: take's copy has another layout,
-                # so BLAS would sum each product in another order
-                bb = b if cols is None else b[:, cols]
         # every entry > 0: NaN, which a failed _eigh leaves, fails each test
         if perron is not None and all(map((0.0).__lt__, perron.tolist())):
             v = perron

@@ -1,6 +1,9 @@
 import itertools
 import math
 import operator
+import os
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from decimal import Decimal, localcontext
@@ -269,6 +272,26 @@ class TestPowerIteration:
             (w, v), (w_numpy, v_numpy) = eigh(a), np.linalg.eigh(a)
             assert w.tobytes() == w_numpy.tobytes()
             assert v.tobytes() == v_numpy.tobytes()
+
+    def test_numpy_without_the_kernel_falls_back_to_eigh(self):
+        # rfl.spectral imports numpy's private eigh kernel; where numpy has
+        # no such module, rfl must still import and give the same reports
+        # through np.linalg.eigh
+        g = path_graph(8)
+        script = (
+            "import sys, numpy as np\n"
+            "sys.modules['numpy.linalg._umath_linalg'] = None\n"
+            "import rfl.spectral\n"
+            "from rfl.graphs import BipartiteGraph\n"
+            "assert rfl.spectral._eigh is np.linalg.eigh\n"
+            f"g = BipartiteGraph({g.n}, {g.x_rows!r})\n"
+            "print(repr(rfl.spectral.spectral_radius(g)))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+        )
+        assert out.stdout.strip() == repr(spectral_radius(g))
 
     def test_slow_top_component_beside_small_one(self):
         # a path on 40 vertices (rho = 2 cos(pi/41)) beside a path on 4

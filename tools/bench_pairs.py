@@ -32,9 +32,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 END_TO_END = ("run_s", "setup_s", "peak_rss_mb", "work_count")
-# n = 8 and 16 take the dense start (n <= spectral._DENSE_START_MAX); the
-# larger graphs run matrix-free
-PER_CALL_SIZES = (8, 16, 20, 100, 300, 1000)
+PER_CALL_SIZES = (20, 100, 300, 1000)
 PER_CALL_ROUNDS = 10
 DEEP_ABSENT = ((10, (4, 8, 7)), (12, (4, 8, 7)))  # (order, added edge orbit)
 DEEP_ABSENT_ROUNDS = 3
